@@ -1,7 +1,7 @@
 """Apply a :class:`~repro.faults.plan.FaultPlan` to a running pipeline.
 
 The :class:`FaultInjector` is an ordinary simulated process: it sleeps to
-each scheduled fault time with the engine's own pooled timeouts, mutates
+each scheduled fault time with the engine's ``sleep_until`` timeouts, mutates
 the cluster/coupling state (compute fault scale, link bandwidth, transport
 bandwidth share), and records every transition as a
 :class:`~repro.faults.plan.FaultEvent`.  Because the schedule is fixed at

@@ -62,8 +62,8 @@ def _parser() -> argparse.ArgumentParser:
         "--flow-report",
         action="store_true",
         help=(
-            "print the machine-readable escape/crediting certificate "
-            "(JSON) instead of linting"
+            "print the machine-readable crediting certificate (JSON) "
+            "instead of linting"
         ),
     )
     return parser

@@ -1,30 +1,24 @@
-"""Interprocedural flow analyses over the whole ``repro`` model tree.
+"""Interprocedural flow analysis over the whole ``repro`` model tree.
 
-The PR 6 rules are *intra*procedural: each looks at one function of one
-module.  The two invariants the engine's fast paths rest on are whole-program
-properties, so this subpackage adds the missing layer:
+The per-module rules are *intra*procedural: each looks at one function of
+one module.  The crediting contract behind the engine's fast paths is a
+whole-program property, so this subpackage adds the missing layer:
 
-* :mod:`repro.lint.flow.project` — a project-wide symbol table (classes,
-  attribute types, functions, a name-based call graph) built from the same
+* :mod:`repro.lint.flow.project` — a project-wide function index with a
+  name-based call graph, built from the same
   :class:`~repro.lint.framework.Module` objects the per-module rules see;
-* :mod:`repro.lint.flow.summaries` — per-function summaries: every
-  Event-subclass allocation site with an escape verdict, what event classes a
-  function returns, how it holds its parameters, and its fast-path crediting
-  shape;
-* :mod:`repro.lint.flow.escape` — rule **F501**: an allocation site of a
-  *pooled* event class must not escape its ``step()`` dispatch;
+* :mod:`repro.lint.flow.summaries` — each function's fast-path crediting
+  shape (foreign internals touched, literal and dynamic credits, elided
+  queue trips);
 * :mod:`repro.lint.flow.crediting` — rule **F502**: the interprocedural
   upgrade of E301 — every fast path must credit, on some call path, exactly
   the events it elides;
-* :mod:`repro.lint.flow.report` — the machine-readable escape/crediting
+* :mod:`repro.lint.flow.report` — the machine-readable crediting
   certificate behind ``python -m repro.lint --flow-report``.
 
-The analysis is deliberately honest about its precision: call resolution is
-name-based with lightweight receiver typing, unresolvable event-looking
-sites are surfaced in the report (and pinned empty for the shipped tree by
-the meta-tests) rather than silently classified, and the runtime sanitizer
-(:mod:`repro.sanitize`) is the dynamic backstop for whatever the lattice
-cannot see.
+Call resolution is name-based and over-approximates; the runtime sanitizer
+(:mod:`repro.sanitize`) validates the dynamically computed credits the
+static check exempts.
 """
 
 from repro.lint.flow.project import Project

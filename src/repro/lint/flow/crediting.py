@@ -38,13 +38,9 @@ __all__ = ["CreditingConservation"]
 _DISCHARGE_DEPTH = 3
 
 
-def _has_credit(func: FunctionInfo) -> bool:
-    return func.summary is not None and func.summary.credits_local
-
-
 def _discharged(project: Project, func: FunctionInfo) -> bool:
     """Breadth-first search for crediting evidence near ``func``."""
-    if _has_credit(func):
+    if func.summary.credits_local:
         return True
     seen: Set[str] = {func.qualname}
     frontier: List[FunctionInfo] = [func]
@@ -63,7 +59,7 @@ def _discharged(project: Project, func: FunctionInfo) -> bool:
                 if caller.qualname not in seen and current.name in caller.callees:
                     seen.add(caller.qualname)
                     neighbours.append(caller)
-        if any(_has_credit(n) for n in neighbours):
+        if any(n.summary.credits_local for n in neighbours):
             return True
         if not neighbours:
             return False
@@ -89,13 +85,12 @@ class CreditingConservation(ProjectRule):
 
     def check_project(self, project: Project) -> Iterator[Finding]:
         """Yield reachability and conservation findings over the project."""
-        project.analyze()
         for qualname in sorted(project.functions):
             func = project.functions[qualname]
             if func.module.startswith("repro.simcore"):
                 continue
             summary = func.summary
-            if summary is None or not summary.foreign_touch_lines:
+            if not summary.foreign_touch_lines:
                 continue
             line = min(summary.foreign_touch_lines)
             if not _discharged(project, func):

@@ -1,19 +1,9 @@
 """Machine-readable flow certificate: ``python -m repro.lint --flow-report``.
 
-Emits one JSON document describing what the interprocedural analyses proved
-about the tree:
-
-* per event class — every allocation site with its escape verdict, whether
-  the class is pool-safe (no escaping site), and whether the engine
-  actually pools it;
-* the unresolved-but-event-looking calls the type lattice could not
-  classify (pinned empty for the shipped tree by the meta-tests);
-* per fast-path function — the crediting shape F502 checked (elided
-  mutations, literal credits, dynamic credits).
-
-The report is the audit artifact behind extending the free lists: a class
-moves onto ``POOLED_EVENT_CLASSES`` only when its report entry shows
-``pool_safe`` with every site accounted for.
+Emits one JSON document listing, per fast-path function outside the engine
+(every function that touches another object's fast-path internals), the
+crediting shape F502 checked: the elided mutations, the literal credits and
+whether a dynamically computed credit is present.
 """
 
 from __future__ import annotations
@@ -27,14 +17,13 @@ from repro.lint.framework import (
     iter_python_files,
     module_name_for,
 )
-from repro.lint.flow.escape import POOLED_CLASSES
-from repro.lint.flow.project import EXCLUDED_MODULES, Project
+from repro.lint.flow.project import Project
 
 __all__ = ["build_project", "flow_report"]
 
 
 def build_project(paths: Sequence[Path]) -> Project:
-    """Parse every in-scope module under ``paths`` into an analyzed project."""
+    """Parse every in-scope module under ``paths`` into a project."""
     modules: List[Module] = []
     for file in iter_python_files(paths):
         try:
@@ -45,48 +34,17 @@ def build_project(paths: Sequence[Path]) -> Project:
             continue
         if module.in_packages(MODEL_PACKAGES):
             modules.append(module)
-    project = Project(modules)
-    project.analyze()
-    return project
+    return Project(modules)
 
 
 def flow_report(paths: Sequence[Path]) -> Dict[str, object]:
     """The JSON-safe flow certificate for the tree under ``paths``."""
     project = build_project(paths)
-    classes: Dict[str, Dict[str, object]] = {}
-    for qualname in sorted(project.functions):
-        func = project.functions[qualname]
-        if func.module in EXCLUDED_MODULES or func.summary is None:
-            continue
-        for site in func.summary.sites:
-            for cls in site.classes:
-                entry = classes.setdefault(
-                    cls,
-                    {"pool_safe": True, "pooled": cls in POOLED_CLASSES, "sites": []},
-                )
-                sites = entry["sites"]
-                assert isinstance(sites, list)
-                sites.append(
-                    {
-                        "path": site.path,
-                        "line": site.line,
-                        "function": site.function,
-                        "verdict": site.verdict,
-                        "reason": site.reason,
-                        "derived": site.derived,
-                    }
-                )
-                if site.verdict == "escapes":
-                    entry["pool_safe"] = False
     crediting: List[Dict[str, object]] = []
     for qualname in sorted(project.functions):
         func = project.functions[qualname]
         summary = func.summary
-        if (
-            summary is None
-            or not summary.foreign_touch_lines
-            or func.module.startswith("repro.simcore")
-        ):
+        if not summary.foreign_touch_lines or func.module.startswith("repro.simcore"):
             continue
         crediting.append(
             {
@@ -98,12 +56,4 @@ def flow_report(paths: Sequence[Path]) -> Dict[str, object]:
                 "dynamic_credit": summary.dynamic_credit,
             }
         )
-    return {
-        "pooled_classes": list(POOLED_CLASSES),
-        "event_classes": {name: classes[name] for name in sorted(classes)},
-        "unresolved_event_like": [
-            {"path": path, "line": line, "col": col, "method": method}
-            for path, line, col, method in sorted(project.unresolved_event_like)
-        ],
-        "crediting": crediting,
-    }
+    return {"crediting": crediting}

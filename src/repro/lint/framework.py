@@ -254,7 +254,6 @@ def register(cls: Type[Rule]) -> Type[Rule]:
 def all_rules() -> List[Rule]:
     """Every registered rule, sorted by id (imports the rule modules)."""
     import repro.lint.flow.crediting  # noqa: F401  - registration side effect
-    import repro.lint.flow.escape  # noqa: F401  - registration side effect
     import repro.lint.rules  # noqa: F401  - registration side effect
 
     return [_REGISTRY[rule_id] for rule_id in sorted(_REGISTRY)]

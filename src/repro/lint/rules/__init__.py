@@ -10,8 +10,7 @@ decorator at import time).  Rules come in three families:
   fast-path crediting and allocation invariants.
 * ``H`` — hygiene (:mod:`repro.lint.rules.hygiene`): general hazards scoped
   to where they corrupt simulations.
-* ``F`` — interprocedural flow (:mod:`repro.lint.flow`): whole-program
-  escape analysis behind the event-pooling certificate (F501) and crediting
+* ``F`` — interprocedural flow (:mod:`repro.lint.flow`): crediting
   conservation across call boundaries (F502).
 
 See ``docs/static-analysis.md`` for the full catalogue with rationale and

@@ -6,12 +6,24 @@ import ast
 from typing import Dict, Iterator, Optional
 
 __all__ = [
+    "CREDITING_CALLS",
+    "FASTPATH_INTERNALS",
     "canonical_call",
     "dotted_name",
+    "dotted_tail",
     "function_defs",
     "import_aliases",
     "walk_shallow",
 ]
+
+#: Resource internals whose access from *outside* the owning object marks a
+#: fast path: only code that bypasses the evented request/release protocol
+#: reaches into another object's slot and waiter lists (rules E301 and F502).
+FASTPATH_INTERNALS = frozenset({"users", "_waiters", "_grant", "_pop_waiter"})
+
+#: Calls that satisfy the crediting contract (each either credits elided
+#: events directly or is an engine primitive that self-credits).
+CREDITING_CALLS = frozenset({"credit_events", "trigger_inplace", "complete"})
 
 #: Statement types that open a new namespace: shallow walks stop here so a
 #: nested function's yields/reads are never attributed to its enclosing one.
@@ -28,6 +40,12 @@ def dotted_name(node: ast.AST) -> Optional[str]:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
+
+
+def dotted_tail(node: ast.AST) -> Optional[str]:
+    """The last segment of :func:`dotted_name` (``a.b.c`` → ``c``), else ``None``."""
+    name = dotted_name(node)
+    return name.rsplit(".", 1)[-1] if name else None
 
 
 def import_aliases(tree: ast.Module) -> Dict[str, str]:

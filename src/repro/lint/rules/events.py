@@ -14,18 +14,14 @@ import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.lint.framework import Finding, LineFix, MODEL_PACKAGES, Module, Rule, register
-from repro.lint.rules._helpers import function_defs, walk_shallow
+from repro.lint.rules._helpers import (
+    CREDITING_CALLS,
+    FASTPATH_INTERNALS,
+    function_defs,
+    walk_shallow,
+)
 
 __all__ = ["UncreditedFastPath", "EventSlots", "StaleNowAcrossYield"]
-
-#: Resource internals whose access from *outside* the owning object marks a
-#: fast path: only code that bypasses the evented request/release protocol
-#: reaches into another object's slot and waiter lists.
-_FASTPATH_INTERNALS = frozenset({"users", "_waiters", "_grant", "_pop_waiter"})
-
-#: Calls that satisfy the crediting contract (each either credits elided
-#: events directly or is an engine primitive that self-credits).
-_CREDITING_CALLS = frozenset({"credit_events", "trigger_inplace", "complete"})
 
 #: Class names of the ``repro.simcore.events`` / ``resources`` hierarchy; a
 #: subclass of any of these is an event type and must declare ``__slots__``.
@@ -33,7 +29,6 @@ _EVENT_BASES = frozenset(
     {
         "Event",
         "Timeout",
-        "PooledTimeout",
         "Initialize",
         "Interruption",
         "Process",
@@ -82,13 +77,13 @@ class UncreditedFastPath(Rule):
             touches: List[ast.AST] = []
             credits = False
             for node in walk_shallow(func, include_root=False):
-                if isinstance(node, ast.Attribute) and node.attr in _FASTPATH_INTERNALS:
+                if isinstance(node, ast.Attribute) and node.attr in FASTPATH_INTERNALS:
                     base = node.value
                     if not (isinstance(base, ast.Name) and base.id == "self"):
                         touches.append(node)
                 if isinstance(node, ast.Call):
                     tail = _attr_tail(node.func)
-                    if tail in _CREDITING_CALLS:
+                    if tail in CREDITING_CALLS:
                         credits = True
             if touches and not credits:
                 yield self.finding(

@@ -1,13 +1,13 @@
 """Runtime determinism sanitizer: the dynamic counterpart of ``repro.lint``.
 
-The static analyses in :mod:`repro.lint` prove determinism and event-pooling
-invariants where the dataflow lattice can see them; this module traps, *at
-run time*, the violations it cannot — an unseeded global :mod:`random` draw
-reached through a callback the call graph over-approximates, a wall-clock
-read behind an alias, a recycled event touched by a holder the escape
-analysis never saw.  It is the simulation analogue of AddressSanitizer:
-cheap enough to run the CI smoke sweep under, precise enough that every trap
-names the violated contract.
+The static analyses in :mod:`repro.lint` prove determinism and crediting
+invariants where the AST can see them; this module traps, *at run time*,
+the violations they cannot — an unseeded global :mod:`random` draw reached
+through a callback the call graph over-approximates, a wall-clock read
+behind an alias, a dynamically computed credit that is not a positive
+integer.  It is the simulation analogue of AddressSanitizer: cheap enough
+to run the CI smoke sweep under, precise enough that every trap names the
+violated contract.
 
 Enable it per environment (``Environment(sanitize=True)``) or globally for a
 whole run with ``REPRO_SANITIZE=1``.  Under sanitize the engine:
@@ -17,11 +17,6 @@ whole run with ``REPRO_SANITIZE=1``.  Under sanitize the engine:
   *while a sanitized environment is executing an event* (instance-based
   :class:`~repro.simcore.rng.RandomStreams` generators are untouched — they
   are the sanctioned randomness);
-* **poisons** recyclable events instead of pooling them: the free lists stay
-  empty, every allocation is fresh, and a processed event is marked failed
-  with a :class:`SanitizerTrap` carrying a bumped generation counter — any
-  holder that touches it after recycling has the trap thrown into its frame
-  instead of silently observing the event's next incarnation;
 * validates :meth:`~repro.simcore.engine.Environment.credit_events` calls
   (positive integer counts, only while an event is executing) so a fast
   path cannot quietly corrupt the machine-independent event count;
@@ -49,7 +44,6 @@ __all__ = [
     "guards_installed",
     "in_sanitized_step",
     "install_guards",
-    "poison_event",
     "uninstall_guards",
 ]
 
@@ -58,8 +52,7 @@ class SanitizerTrap(RuntimeError):
     """A determinism contract was violated at run time.
 
     Raised (or delivered through the event-failure machinery) by the hooks
-    this module installs.  The message always names the violated contract
-    and, for use-after-recycle traps, the event's generation counter.
+    this module installs.  The message always names the violated contract.
     """
 
 
@@ -192,31 +185,6 @@ def uninstall_guards() -> None:
 def guards_installed() -> bool:
     """Whether :func:`install_guards` is currently in effect."""
     return bool(_saved)
-
-
-# -- event poisoning (use-after-recycle) ---------------------------------
-def poison_event(event: Any) -> None:
-    """Mark a would-be-recycled event so any later touch traps.
-
-    Under sanitize the engine calls this *instead of* returning the event to
-    a free list, at exactly the points recycling would happen.  The event is
-    left processed-and-failed with a :class:`SanitizerTrap` value and a
-    bumped ``_generation`` counter: a holder that yields it has the trap
-    thrown into its generator frame; a holder that reads ``.value`` sees the
-    trap object.  Because nothing is actually pooled, every allocation stays
-    fresh and the trap is a pure detector — it never changes which object a
-    correct program observes.
-    """
-    generation = getattr(event, "_generation", 0) + 1
-    event._generation = generation
-    event.callbacks = None
-    event._ok = False
-    event._defused = False
-    event._value = SanitizerTrap(
-        f"sanitizer: use of {type(event).__name__} after recycling "
-        f"(generation {generation}) — pooled events must not outlive their "
-        "step() dispatch; see docs/static-analysis.md"
-    )
 
 
 # -- order-sensitive boundaries ------------------------------------------

@@ -45,13 +45,12 @@ from repro.simcore.errors import (
 from repro.simcore.events import (
     Event,
     Timeout,
-    PooledTimeout,
     Process,
     AllOf,
     AnyOf,
     ConditionEvent,
 )
-from repro.simcore.engine import Environment, EmptySchedule, POOLED_EVENT_CLASSES
+from repro.simcore.engine import Environment, EmptySchedule
 from repro.simcore.resources import (
     Resource,
     PriorityResource,
@@ -76,7 +75,6 @@ __all__ = [
     "StopProcess",
     "Event",
     "Timeout",
-    "PooledTimeout",
     "Process",
     "AllOf",
     "AnyOf",
@@ -99,5 +97,4 @@ __all__ = [
     "PeriodicController",
     "CounterDeltas",
     "PIDSmoother",
-    "POOLED_EVENT_CLASSES",
 ]

@@ -12,46 +12,15 @@ from repro.simcore.events import (
     Event,
     NORMAL,
     PENDING,
-    PooledTimeout,
     Process,
     ProcessGenerator,
     Timeout,
 )
-from repro.simcore.resources import Release, StoreGet, StorePut
 
-__all__ = ["Environment", "EmptySchedule", "Infinity", "POOLED_EVENT_CLASSES"]
+__all__ = ["Environment", "EmptySchedule", "Infinity"]
 
 #: A time value larger than any event time the models use.
 Infinity = float("inf")
-
-#: Upper bound on the recycled-:class:`PooledTimeout` free list.  Generous
-#: enough for every rank of a large pipeline to have one sleep in flight;
-#: beyond it, extra events are simply left to the garbage collector.
-_TIMEOUT_POOL_LIMIT = 512
-
-#: Upper bound on each opt-in event free list (see ``pool_events``).
-_EVENT_POOL_LIMIT = 512
-
-#: Event classes the engine recycles.  ``PooledTimeout`` is always pooled
-#: (its contract is opt-in at the call site: only ``Environment.sleep`` /
-#: ``sleep_until`` hand one out); the other three are pooled only under
-#: ``Environment(pool_events=True)``, which the pipeline runner enables on
-#: the strength of the F501 escape-analysis certificate (``python -m
-#: repro.lint --flow-report``).  The lint meta-tests pin this tuple to the
-#: set of classes the analysis certifies.
-POOLED_EVENT_CLASSES: Tuple[str, ...] = (
-    "PooledTimeout",
-    "StorePut",
-    "StoreGet",
-    "Release",
-)
-
-#: Sentinel parked in a recycled event's ``_value`` slot while it sits on a
-#: free list.  Guards against double-recycling: an escaping holder that
-#: yields an already-recycled event again is skipped instead of inserting
-#: the same object into the pool twice (the sanitizer turns that same
-#: misuse into a hard trap).
-_RECYCLED = object()
 
 
 class EmptySchedule(Exception):
@@ -66,23 +35,11 @@ class Environment:
     initial_time:
         Starting value of the simulation clock (seconds by convention across
         this code base).
-    pool_events:
-        Recycle :class:`~repro.simcore.resources.StorePut` /
-        :class:`~repro.simcore.resources.StoreGet` /
-        :class:`~repro.simcore.resources.Release` events through per-class
-        free lists, exactly like the always-on :class:`PooledTimeout` pool.
-        Off by default because the *public* event semantics allow holding a
-        reference past processing; the pipeline runner turns it on
-        (``PipelineSpec.pool_events``) under the F501 escape-analysis
-        certificate that no model code does.  Bit-identical either way —
-        recycling changes which Python object carries an event, never the
-        event order or ``events_processed``.
     sanitize:
         Run with the :mod:`repro.sanitize` determinism traps armed:
-        clock/global-RNG guards during event execution, poisoned (never
-        reused) recyclable events, crediting validation, and
-        order-sensitivity checks.  ``None`` (the default) defers to the
-        ``REPRO_SANITIZE`` environment variable.
+        clock/global-RNG guards during event execution, crediting
+        validation, and order-sensitivity checks.  ``None`` (the default)
+        defers to the ``REPRO_SANITIZE`` environment variable.
 
     Notes
     -----
@@ -97,21 +54,15 @@ class Environment:
         "_eid",
         "_active_process",
         "_events_processed",
-        "_timeout_pool",
         "_solo_callback",
-        "_pool_events",
         "_sanitize",
         "_in_event",
-        "_put_pool",
-        "_get_pool",
-        "_release_pool",
     )
 
     def __init__(
         self,
         initial_time: float = 0.0,
         *,
-        pool_events: bool = False,
         sanitize: Optional[bool] = None,
     ):
         self._now = float(initial_time)
@@ -119,13 +70,8 @@ class Environment:
         self._eid = count()
         self._active_process: Optional[Process] = None
         self._events_processed = 0
-        self._timeout_pool: List[PooledTimeout] = []
-        self._pool_events = bool(pool_events)
         self._sanitize = _sanitize.default_enabled() if sanitize is None else bool(sanitize)
         self._in_event = False
-        self._put_pool: List[StorePut] = []
-        self._get_pool: List[StoreGet] = []
-        self._release_pool: List[Release] = []
         if self._sanitize:
             _sanitize.install_guards()
         # True while step() is executing the callback of an event that had
@@ -155,11 +101,6 @@ class Environment:
         return self._events_processed
 
     @property
-    def pool_events(self) -> bool:
-        """Whether Store/Release events are recycled through free lists."""
-        return self._pool_events
-
-    @property
     def sanitize(self) -> bool:
         """Whether the runtime determinism sanitizer is armed (see ``repro.sanitize``)."""
         return self._sanitize
@@ -183,23 +124,20 @@ class Environment:
         """Start a new process from ``generator`` and return its event."""
         return Process(self, generator)
 
-    def sleep(self, delay: float) -> PooledTimeout:
-        """A recycled timeout firing ``delay`` from now (hot-path ``timeout``).
+    def sleep(self, delay: float) -> Timeout:
+        """A :class:`Timeout` firing ``delay`` from now (hot-path ``timeout``).
 
-        Allocation-free when the free list is warm.  The returned event obeys
-        the :class:`~repro.simcore.events.PooledTimeout` contract: yield it
-        immediately from exactly one process and never store or share it —
-        it returns to the free list the moment it is processed.
+        Equivalent to ``timeout(delay)`` but built without the constructor
+        chain — every compute, transfer and I/O wait goes through here.
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        event = self._pooled_timeout()
-        event._delay = delay
+        event = self._new_timeout(delay)
         heappush(self._queue, (self._now + delay, NORMAL, next(self._eid), event))
         return event
 
-    def sleep_until(self, when: float) -> PooledTimeout:
-        """A recycled timeout firing at the *absolute* time ``when``.
+    def sleep_until(self, when: float) -> Timeout:
+        """A :class:`Timeout` firing at the *absolute* time ``when``.
 
         The coalescing hook: a batch fast-forward computes its exact end time
         with the same float arithmetic the per-call path would use, then jumps
@@ -208,29 +146,19 @@ class Environment:
         """
         if when < self._now:
             raise SimulationError(f"sleep_until({when!r}) lies before now ({self._now!r})")
-        event = self._pooled_timeout()
-        event._delay = when - self._now
+        event = self._new_timeout(when - self._now)
         heappush(self._queue, (when, NORMAL, next(self._eid), event))
         return event
 
-    def _pooled_timeout(self) -> PooledTimeout:
-        """Pop a recycled timeout from the free list, or allocate a fresh one.
-
-        A recycled event only needs its callback list re-armed: pooled
-        timeouts are always ok/undefused and step() cleared the value when
-        it returned the event to the pool.
-        """
-        pool = self._timeout_pool
-        if pool:
-            event = pool.pop()
-            event.callbacks = []
-            return event
-        event = PooledTimeout.__new__(PooledTimeout)
+    def _new_timeout(self, delay: float) -> Timeout:
+        """A fresh, unscheduled :class:`Timeout` (inlined ``Timeout.__init__``)."""
+        event = Timeout.__new__(Timeout)
         event.env = self
         event.callbacks = []
         event._value = None
         event._ok = True
         event._defused = False
+        event._delay = delay
         return event
 
     # -- fast-path accounting ---------------------------------------------
@@ -346,29 +274,7 @@ class Environment:
                     callback(event)
         self._events_processed += 1
 
-        if event._ok:
-            cls = type(event)
-            if cls is PooledTimeout:
-                # Every waiter has been resumed (inside the callback loop
-                # above); the event object can serve the next sleep.
-                pool = self._timeout_pool
-                if len(pool) < _TIMEOUT_POOL_LIMIT:
-                    event._value = None
-                    pool.append(event)
-            elif self._pool_events:
-                if cls is StorePut:
-                    pool = self._put_pool
-                    if len(pool) < _EVENT_POOL_LIMIT:
-                        event._value = _RECYCLED
-                        event.item = None
-                        pool.append(event)
-                elif cls is StoreGet:
-                    pool = self._get_pool
-                    if len(pool) < _EVENT_POOL_LIMIT:
-                        event._value = _RECYCLED
-                        event.filter_fn = None
-                        pool.append(event)
-        elif not event._defused:
+        if not event._ok and not event._defused:
             # Nobody waited on a failed event: surface the error to the caller
             # rather than silently dropping it.
             raise event._value
@@ -379,9 +285,7 @@ class Environment:
         A separate implementation so the unsanitized hot path pays exactly
         one extra attribute test.  Differences: the clock/RNG guards are
         active while callbacks run (``try/finally`` so a trap cannot leave
-        them armed), crediting is validated (``_in_event``), and recyclable
-        events are *poisoned* instead of pooled — the free lists stay empty
-        and any use-after-recycle trips a :class:`~repro.sanitize.SanitizerTrap`.
+        them armed) and crediting is validated (``_in_event``).
         """
         queue = self._queue
         if not queue:
@@ -411,67 +315,8 @@ class Environment:
             _sanitize.exit_step()
         self._events_processed += 1
 
-        if event._ok:
-            cls = type(event)
-            if cls is PooledTimeout or (
-                self._pool_events and (cls is StorePut or cls is StoreGet)
-            ):
-                _sanitize.poison_event(event)
-        elif not event._defused:
+        if not event._ok and not event._defused:
             raise event._value
-
-    def _recycle_consumed(self, event: Event) -> None:
-        """Recycle an in-place-completed event its creator just consumed.
-
-        Called by :meth:`Process._resume` (only when ``pool_events`` is on)
-        for events that never took a queue trip: completed in place by
-        ``trigger_inplace``/``complete`` and consumed synchronously by the
-        yielding process.  At that point the creating process has read the
-        value and, for the F501-certified classes, no other reference
-        exists.  The ``_RECYCLED`` sentinel makes a double consume (an
-        escaping holder yielding the event again) a no-op here instead of a
-        pool corruption; under sanitize the event is poisoned so the same
-        misuse traps.
-        """
-        cls = type(event)
-        if cls is StorePut:
-            if event._value is _RECYCLED:
-                return
-            if self._sanitize:
-                _sanitize.poison_event(event)
-                return
-            pool = self._put_pool
-            if len(pool) < _EVENT_POOL_LIMIT:
-                event._value = _RECYCLED
-                event.item = None
-                pool.append(event)
-        elif cls is StoreGet:
-            if event._value is _RECYCLED:
-                return
-            if self._sanitize:
-                _sanitize.poison_event(event)
-                return
-            pool = self._get_pool
-            if len(pool) < _EVENT_POOL_LIMIT:
-                event._value = _RECYCLED
-                event.filter_fn = None
-                pool.append(event)
-
-    def _recycle_release(self, release: Release) -> None:
-        """Return a completed :class:`Release` to its free list immediately.
-
-        A release's observable state after ``Resource.release`` returns is a
-        constant (processed, ok, value ``None``) and the F501 certificate
-        shows no call site stores one, so the object recycles at its
-        creation site rather than waiting for a consumption hook.  Under
-        sanitize nothing is pooled (allocations stay fresh), keeping
-        legitimate ``yield resource.release(...)`` idioms trap-free.
-        """
-        if self._sanitize:
-            return
-        pool = self._release_pool
-        if len(pool) < _EVENT_POOL_LIMIT:
-            pool.append(release)
 
     def run(self, until: Optional[Any] = None) -> Any:
         """Run the simulation.

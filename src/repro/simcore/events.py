@@ -29,7 +29,6 @@ __all__ = [
     "ProcessGenerator",
     "Event",
     "Timeout",
-    "PooledTimeout",
     "Initialize",
     "Interruption",
     "Process",
@@ -177,21 +176,6 @@ class Timeout(Event):
         return f"<Timeout delay={self._delay!r} at {id(self):#x}>"
 
 
-class PooledTimeout(Timeout):
-    """A :class:`Timeout` drawn from the environment's free list.
-
-    Created only by :meth:`Environment.sleep` / :meth:`Environment.sleep_until`
-    and recycled by :meth:`Environment.step` the moment it has been processed.
-    The contract that makes recycling safe: a pooled timeout must be yielded
-    immediately by exactly one process and never stored, shared, or passed to
-    a :class:`ConditionEvent` — any holder-after-processing would observe the
-    event's *next* incarnation.  Model code that needs a shareable timeout
-    uses the plain :class:`Timeout` as before.
-    """
-
-    __slots__ = ("_generation",)
-
-
 class Initialize(Event):
     """Internal event used to start a newly created :class:`Process`."""
 
@@ -278,18 +262,10 @@ class Process(Event):
     def _resume(self, event: Event) -> None:
         env = self.env
         env._active_process = self
-        consumed_inplace = False
         while True:
             try:
                 if event._ok:
-                    value = event._value
-                    if consumed_inplace and env._pool_events:
-                        # An in-place-completed event is dead the moment its
-                        # value is read: it has no callback list and (per the
-                        # F501 escape certificate) this process is its only
-                        # holder, so it can serve the next allocation.
-                        env._recycle_consumed(event)
-                    next_event = self._generator.send(value)
+                    next_event = self._generator.send(event._value)
                 else:
                     # The waiter acknowledges the failure by having it thrown
                     # into its frame.
@@ -328,7 +304,6 @@ class Process(Event):
                 break
             # The event was already processed: loop immediately with its value.
             event = next_event
-            consumed_inplace = True
 
         self._target = None if self.triggered else self._target
         env._active_process = None

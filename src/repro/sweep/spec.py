@@ -214,16 +214,6 @@ class SweepSpec:
             case if isinstance(case, SweepCase) else SweepCase(*case) for case in cases
         ]
 
-    def add_grid(self, grid: ParamGrid) -> "SweepSpec":
-        """Append a grid to the sweep (returns ``self`` for chaining)."""
-        self.grids.append(grid)
-        return self
-
-    def add_case(self, label: str, config: AnyConfig) -> "SweepSpec":
-        """Append one hand-picked case (returns ``self`` for chaining)."""
-        self.extra_cases.append(SweepCase(label, config))
-        return self
-
     def cases(self) -> List[SweepCase]:
         """Every case of the sweep, grids first (in order), then extras.
 

@@ -308,10 +308,3 @@ class ZipperTransport(Transport):
         self._producers.clear()
         self._consumers.clear()
         self._expected_blocks.clear()
-
-    # -- introspection ---------------------------------------------------------------
-    def _total_stolen_fraction(self, ctx) -> float:
-        produced = ctx.stats.get("blocks_produced", 0.0)
-        if produced <= 0:
-            return 0.0
-        return ctx.stats.get("blocks_stolen", 0.0) / produced

@@ -307,11 +307,6 @@ class CouplingContext:
         )
 
     # -- placement ---------------------------------------------------------
-    @property
-    def total_nodes_modelled(self) -> int:
-        """All modelled nodes of the run (stage nodes plus staging nodes)."""
-        return self.pipeline_ctx.placement.num_nodes
-
     def sim_node(self, rank: int) -> int:
         """Modelled node hosting source-stage rank ``rank``."""
         return self.pipeline_ctx.placement.stage_node(self.spec.source, rank)

@@ -213,11 +213,9 @@ class PipelineSpec:
     #: the per-phase event sequence, e.g. when external processes mutate
     #: node allocations outside the elastic epoch protocol.
     coalesce: bool = True
-    #: Engine event recycling: serve Store put/get and Release events from
-    #: per-class free lists (bit-identical; the F501 escape analysis
-    #: certifies no runner/transport code holds one past its dispatch — see
-    #: ``docs/static-analysis.md``).  Turn off to keep every event a fresh
-    #: allocation, e.g. when embedding custom processes that retain events.
+    #: Has no effect: the engine allocates every event fresh.  Kept because
+    #: ``config_hash`` hashes ``asdict(config)`` — dropping the field would
+    #: change the resume key of every pipeline case in existing stores.
     pool_events: bool = True
     #: Arm the :mod:`repro.sanitize` runtime determinism traps for this run.
     #: ``False`` (the default) defers to the ``REPRO_SANITIZE`` environment

@@ -1,4 +1,4 @@
-"""The engine fast path: pooled timeouts, event crediting, compute coalescing.
+"""The engine fast path: ``sleep`` timeouts, event crediting, compute coalescing.
 
 The acceptance invariant of the fast path is *bit-identity*: for fixed seeds,
 a run with ``PipelineSpec.coalesce=True`` (the default) must produce exactly
@@ -21,7 +21,7 @@ from repro.bench.experiments import (
 from repro.cluster.machine import Cluster
 from repro.cluster.presets import bridges
 from repro.elastic import ModelDrivenPolicy
-from repro.simcore import Environment, PooledTimeout, SimulationError
+from repro.simcore import Environment, SimulationError, Timeout
 from repro.workflow.pipeline import lower_config
 from repro.workflow.runner import run_pipeline
 from repro.sweep.store import result_payload
@@ -50,25 +50,6 @@ class TestPooledTimeouts:
         env.run()
         assert log == [1.5, 2.0]
 
-    def test_sleep_recycles_the_event_object(self):
-        env = Environment()
-        seen = []
-
-        def proc(env):
-            for _ in range(3):
-                event = env.sleep(1.0)
-                seen.append(id(event))
-                yield event
-
-        env.process(proc(env))
-        env.run()
-        # An event returns to the free list only after its callbacks ran, so
-        # the next sleep (created inside the callback) allocates a second
-        # object — and from then on the two alternate out of the pool.
-        assert len(seen) == 3
-        assert seen[2] == seen[0]
-        assert len(set(seen)) == 2
-
     def test_sleep_rejects_negative_delay(self):
         env = Environment()
         with pytest.raises(SimulationError):
@@ -90,7 +71,7 @@ class TestPooledTimeouts:
         env.process(proc(env))
         env.run()
         assert log == [3.25]
-        assert isinstance(env.sleep_until(env.now), PooledTimeout)
+        assert type(env.sleep_until(env.now)) is Timeout
 
 
 class TestEventAccounting:
@@ -306,48 +287,18 @@ class TestCoalescingBitIdentity:
 
 
 class TestEventPoolingBitIdentity:
-    """Free-list recycling of the F501-certified classes changes nothing."""
+    """``PipelineSpec.pool_events`` is inert: the engine never recycles events."""
 
     @pytest.mark.parametrize(
         "label,config",
         figure2_configs(steps=4, representative_sim_ranks=4),
         ids=lambda val: val if isinstance(val, str) else "",
     )
-    def test_all_transports(self, label, config):
+    def test_pool_events_field_has_no_effect(self, label, config):
         pipeline = lower_config(config)
         pooled = run_pipeline(pipeline.replace(pool_events=True))
         fresh = run_pipeline(pipeline.replace(pool_events=False))
         assert result_payload(pooled) == result_payload(fresh)
-
-    def test_store_events_recycle_through_the_free_lists(self):
-        from repro.simcore import Store
-
-        def churn(env, store):
-            for _ in range(8):
-                yield store.put("x")
-                yield store.get()
-
-        env = Environment(pool_events=True)
-        store = Store(env)
-        env.process(churn(env, store))
-        env.run()
-        assert env._put_pool and env._get_pool, "free lists never warmed up"
-
-    def test_release_events_recycle_through_the_free_list(self):
-        from repro.simcore import Resource
-
-        def worker(env, resource):
-            for _ in range(4):
-                req = resource.request()
-                yield req
-                yield env.sleep(0.1)
-                yield resource.release(req)
-
-        env = Environment(pool_events=True)
-        resource = Resource(env, capacity=1)
-        env.process(worker(env, resource))
-        env.run()
-        assert env._release_pool, "release free list never warmed up"
 
 
 class TestElasticCoalescingBitIdentity:

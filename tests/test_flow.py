@@ -1,10 +1,9 @@
-"""Tests for the interprocedural flow analyses (``repro.lint.flow``).
+"""Tests for the interprocedural flow analysis (``repro.lint.flow``).
 
-Fixture families exercise the escape lattice one hazard at a time —
-pool-safe consumption, container escape, closure capture, recorder capture,
-cross-call escape, use-after-yield — then the meta-tests pin the shipped
-tree: the engine's pooled-class tuple equals the analysis certificate, every
-pooled class is pool-safe, and the unresolved-call audit list is empty.
+Fixtures exercise F502 one fast-path shape at a time — uncredited touch,
+literal mismatch, exact and dynamic credits, credit reached through the call
+graph — then the meta-tests pin the crediting certificate of the shipped
+tree.
 """
 
 from __future__ import annotations
@@ -15,160 +14,19 @@ import sys
 from pathlib import Path
 
 from repro.lint import lint_source, select_rules
-from repro.lint.flow.escape import POOLED_CLASSES
-from repro.lint.flow.project import KNOWN_EVENT_CLASSES
 from repro.lint.flow.report import flow_report
-from repro.simcore import POOLED_EVENT_CLASSES
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: Fixture module inside the model scope (and outside the excluded engine
-#: layer), so F5xx rules classify its allocation sites.
+#: Fixture module inside the model scope (and outside ``repro.simcore``), so
+#: F502 checks its fast paths.
 MOD = "repro.cluster.fixture"
 
-F501 = select_rules(["F501"])
 F502 = select_rules(["F502"])
-
-
-def _f501(source: str):
-    return [f for f in lint_source(source, module_name=MOD, rules=F501)]
 
 
 def _f502(source: str):
     return [f for f in lint_source(source, module_name=MOD, rules=F502)]
-
-
-# -- F501 escape analysis -------------------------------------------------
-
-
-class TestEscapeVerdicts:
-    def test_consumed_by_yield_is_pool_safe(self):
-        src = (
-            "def proc(env, store: Store):\n"
-            "    yield store.put(1)\n"
-            "    item = yield store.get()\n"
-            "    return item\n"
-        )
-        assert _f501(src) == []
-
-    def test_fire_and_forget_discard_is_pool_safe(self):
-        src = "def kick(env, store: Store):\n    store.put(1)\n"
-        assert _f501(src) == []
-
-    def test_container_escape_fires(self):
-        src = (
-            "def proc(env, store: Store):\n"
-            "    pending = []\n"
-            "    ev = store.put(1)\n"
-            "    pending.append(ev)\n"
-            "    yield ev\n"
-        )
-        findings = _f501(src)
-        assert [f.rule for f in findings] == ["F501"]
-        assert findings[0].line == 3  # the allocation site, not the append
-        assert "container" in findings[0].message
-
-    def test_attribute_store_escape_fires(self):
-        src = (
-            "def proc(self, env, store: Store):\n"
-            "    ev = store.put(1)\n"
-            "    self.pending = ev\n"
-            "    yield ev\n"
-        )
-        findings = _f501(src)
-        assert [f.rule for f in findings] == ["F501"]
-
-    def test_closure_capture_escape_fires(self):
-        src = (
-            "def proc(env, store: Store):\n"
-            "    ev = store.put(1)\n"
-            "    def peek():\n"
-            "        return ev\n"
-            "    yield ev\n"
-            "    return peek\n"
-        )
-        findings = _f501(src)
-        assert [f.rule for f in findings] == ["F501"]
-        assert "closure" in findings[0].message
-
-    def test_trace_recorder_capture_escape_fires(self):
-        src = (
-            "def proc(env, store: Store, ctx):\n"
-            "    ev = store.put(1)\n"
-            "    ctx.record_event(ev)\n"
-            "    yield ev\n"
-        )
-        findings = _f501(src)
-        assert [f.rule for f in findings] == ["F501"]
-        assert "recorder" in findings[0].message
-
-    def test_condition_capture_escape_fires(self):
-        src = (
-            "def proc(env, store: Store):\n"
-            "    ev = store.put(1)\n"
-            "    yield AllOf(env, [ev, env.sleep(1.0)])\n"
-        )
-        findings = _f501(src)
-        assert len(findings) >= 1
-        assert all(f.rule == "F501" for f in findings)
-
-    def test_cross_call_escape_fires(self):
-        src = (
-            "def stash(ev, log):\n"
-            "    log.append(ev)\n"
-            "\n"
-            "def proc(env, store: Store, log):\n"
-            "    ev = store.put(1)\n"
-            "    stash(ev, log)\n"
-            "    yield ev\n"
-        )
-        findings = _f501(src)
-        assert [f.rule for f in findings] == ["F501"]
-        assert "callee" in findings[0].message
-
-    def test_cross_call_engine_consumer_is_safe(self):
-        src = (
-            "def forward(env, ev):\n"
-            "    env.schedule(ev)\n"
-            "\n"
-            "def proc(env, store: Store):\n"
-            "    ev = store.put(1)\n"
-            "    forward(env, ev)\n"
-        )
-        assert _f501(src) == []
-
-    def test_use_after_consuming_yield_fires(self):
-        src = (
-            "def proc(env, store: Store):\n"
-            "    ev = store.put('x')\n"
-            "    yield ev\n"
-            "    return ev.item\n"
-        )
-        findings = _f501(src)
-        assert [f.rule for f in findings] == ["F501"]
-        assert "use-after-recycle" in findings[0].message
-
-    def test_returned_factory_does_not_condemn_the_class(self):
-        # A factory returning the event is classified at its call sites; the
-        # returned site itself is not an escape.
-        src = (
-            "def make(store: Store):\n"
-            "    return store.put(1)\n"
-            "\n"
-            "def proc(env, store: Store):\n"
-            "    yield make(store)\n"
-        )
-        assert _f501(src) == []
-
-    def test_unpooled_event_escape_is_not_a_finding(self):
-        # Process objects escape all over the model layer — fine, they are
-        # not on the free-list certificate.
-        src = (
-            "def spawn(env, procs):\n"
-            "    p = env.process(worker(env))\n"
-            "    procs.append(p)\n"
-        )
-        assert _f501(src) == []
 
 
 # -- F502 crediting conservation ------------------------------------------
@@ -258,27 +116,6 @@ def _shipped_report():
 
 
 class TestShippedTreeCertificate:
-    def test_pooled_class_tuples_cannot_drift(self):
-        """The engine's free-list tuple IS the analysis certificate."""
-        assert POOLED_EVENT_CLASSES == POOLED_CLASSES
-        assert set(POOLED_CLASSES) <= set(KNOWN_EVENT_CLASSES)
-
-    def test_every_pooled_class_is_pool_safe_on_the_shipped_tree(self):
-        report = _shipped_report()
-        for cls in POOLED_CLASSES:
-            entry = report["event_classes"][cls]
-            assert entry["pooled"] is True
-            assert entry["pool_safe"] is True, (
-                f"{cls} has escaping sites: "
-                f"{[s for s in entry['sites'] if s['verdict'] == 'escapes']}"
-            )
-            assert entry["sites"], f"{cls} has no classified allocation sites"
-
-    def test_unresolved_event_like_audit_list_is_empty(self):
-        """Every put/get/request/release in the model layer resolves."""
-        report = _shipped_report()
-        assert report["unresolved_event_like"] == []
-
     def test_crediting_entries_cover_the_known_fast_paths(self):
         report = _shipped_report()
         by_function = {entry["function"]: entry for entry in report["crediting"]}
@@ -298,5 +135,6 @@ class TestShippedTreeCertificate:
         )
         assert proc.returncode == 0, proc.stderr
         payload = json.loads(proc.stdout)
-        assert payload["pooled_classes"] == list(POOLED_CLASSES)
-        assert payload["unresolved_event_like"] == []
+        assert list(payload) == ["crediting"]
+        functions = [entry["function"] for entry in payload["crediting"]]
+        assert functions == [e["function"] for e in _shipped_report()["crediting"]]

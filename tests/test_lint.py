@@ -149,20 +149,6 @@ RULE_FIXTURES = [
         MODEL_MOD,
     ),
     (
-        "F501",
-        (
-            "def proc(self, env, store: Store):\n"
-            "    ev = store.put(1)\n"
-            "    self.pending = ev\n"
-            "    yield ev\n"
-        ),
-        (
-            "def proc(env, store: Store):\n"
-            "    yield store.put(1)\n"
-        ),
-        MODEL_MOD,
-    ),
-    (
         "F502",
         (
             "def compute(self, cores):\n"

@@ -268,14 +268,6 @@ class TestInverseProblems:
 
 # -- the relocated Section 4.4 model -------------------------------------------
 class TestCompatibilityShim:
-    def test_core_perf_model_reexports_zipper_module(self):
-        import repro.core.perf_model as legacy
-        import repro.perfmodel.zipper as relocated
-
-        assert legacy.PerformanceModel is relocated.PerformanceModel
-        assert legacy.StageTimes is relocated.StageTimes
-        assert legacy.pipeline_makespan is relocated.pipeline_makespan
-
     def test_package_exports_both_layers(self):
         import repro.perfmodel as pm
 

@@ -2,10 +2,10 @@
 
 Each trap is demonstrated on a deliberately broken fixture — a wall-clock
 read mid-event, an unseeded global random draw, a set at an order-sensitive
-boundary, a use-after-recycle hold, a crediting imbalance — and each has a
-near-identical correct twin that must run trap-free.  A final smoke test
-checks a sanitized pipeline run is bit-identical with an unsanitized one:
-the sanitizer is a pure detector.
+boundary, a crediting imbalance — and each has a near-identical correct
+twin that must run trap-free.  A final smoke test checks a sanitized
+pipeline run is bit-identical with an unsanitized one: the sanitizer is a
+pure detector.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import pytest
 
 from repro import sanitize
 from repro.sanitize import SanitizerTrap
-from repro.simcore import AllOf, Environment, Store
+from repro.simcore import AllOf, Environment
 
 
 @pytest.fixture(autouse=True)
@@ -27,8 +27,8 @@ def _guards_restored():
     sanitize.uninstall_guards()
 
 
-def _run_trapped(proc_fn, **env_kwargs):
-    env = Environment(sanitize=True, **env_kwargs)
+def _run_trapped(proc_fn):
+    env = Environment(sanitize=True)
     env.process(proc_fn(env))
     with pytest.raises(SanitizerTrap) as excinfo:
         env.run()
@@ -116,58 +116,6 @@ class TestOrderedBoundaries:
             sanitize.check_ordered(frozenset({1, 2}), "batch coalescing")
         sanitize.check_ordered([1, 2], "batch coalescing")
         sanitize.check_ordered((1, 2), "batch coalescing")
-
-
-# -- use-after-recycle poisoning ------------------------------------------
-
-
-class TestUseAfterRecycle:
-    def test_holding_a_store_put_past_its_yield_traps(self):
-        def broken(env, store):
-            ev = store.put("x")
-            yield ev
-            yield ev  # use-after-recycle: the event has been poisoned
-
-        env = Environment(sanitize=True, pool_events=True)
-        store = Store(env)
-        env.process(broken(env, store))
-        with pytest.raises(SanitizerTrap) as excinfo:
-            env.run()
-        assert "after recycling" in str(excinfo.value)
-        assert "generation" in str(excinfo.value)
-
-    def test_fresh_event_per_operation_is_fine(self):
-        def fine(env, store):
-            yield store.put("x")
-            item = yield store.get()
-            assert item == "x"
-
-        env = Environment(sanitize=True, pool_events=True)
-        store = Store(env)
-        env.process(fine(env, store))
-        env.run()
-
-    def test_sanitize_keeps_free_lists_empty(self):
-        def fine(env, store):
-            for _ in range(5):
-                yield store.put("x")
-                yield store.get()
-
-        env = Environment(sanitize=True, pool_events=True)
-        store = Store(env)
-        env.process(fine(env, store))
-        env.run()
-        assert env._put_pool == []
-        assert env._get_pool == []
-
-    def test_poison_event_bumps_the_generation_counter(self):
-        env = Environment()
-        event = env.sleep(1.0)  # PooledTimeout: carries the generation slot
-        sanitize.poison_event(event)
-        sanitize.poison_event(event)
-        assert event._generation == 2
-        assert isinstance(event._value, SanitizerTrap)
-        assert event.callbacks is None
 
 
 # -- crediting validation -------------------------------------------------

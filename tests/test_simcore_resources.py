@@ -232,3 +232,38 @@ class TestContainer:
             c.put(0)
         with pytest.raises(SimulationError):
             c.get(-1)
+
+
+class TestHeldEvents:
+    def test_yielded_events_stay_distinct_and_keep_their_values(self, env):
+        """A process may keep every event it yields; none is ever reused."""
+        store = Store(env)
+        res = Resource(env, capacity=1)
+        held = []
+        requests = []
+
+        def hold(event):
+            held.append(event)
+            return event
+
+        def proc(env):
+            for i in range(4):
+                req = res.request()
+                requests.append(req)
+                yield req
+                yield hold(store.put(i))
+                yield hold(store.get())
+                yield hold(env.sleep(i + 1.0))
+                yield hold(res.release(req))
+
+        env.process(proc(env))
+        env.run()
+        assert len(held) == 16
+        assert len({id(event) for event in held}) == len(held)
+        assert all(event.processed and event.ok for event in held)
+        puts, gets, sleeps, releases = held[0::4], held[1::4], held[2::4], held[3::4]
+        assert [put.item for put in puts] == [0, 1, 2, 3]
+        assert [get.value for get in gets] == [0, 1, 2, 3]
+        assert [sleep.delay for sleep in sleeps] == [1.0, 2.0, 3.0, 4.0]
+        assert [release.request for release in releases] == requests
+        assert all(release.value is None for release in releases)
