@@ -5,7 +5,8 @@ suite runs a small, fixed figure2 grid twice — once through a real
 coordinator/worker campaign over localhost HTTP, once through a plain
 serial :class:`~repro.sweep.runner.SweepRunner` — and reports the campaign
 run's throughput as the measurement, with the protocol overhead (campaign
-wall vs serial wall) stamped into the result's environment.  It also
+wall vs serial wall) stamped into the result's environment together with
+the campaign wall's three phases (coordinator boot, work, stop).  It also
 asserts the tentpole guarantee on every run: the campaign store's canonical
 bytes must equal the serial store's (see ``docs/campaigns.md``).
 """
@@ -65,8 +66,10 @@ def run_campaign_suite(workers: int = 0, repeats: Optional[int] = None):
         campaign = Campaign(
             descriptor, campaign_store, shard_size=2, lease_seconds=10.0
         )
-        start = time.perf_counter()
-        with CoordinatorServer(campaign) as server:
+        launched = time.perf_counter()
+        server = CoordinatorServer(campaign).start()
+        booted = time.perf_counter()
+        try:
             crew = [
                 threading.Thread(
                     target=CampaignWorker(server.url, name=f"bench-{i}").run,
@@ -79,7 +82,11 @@ def run_campaign_suite(workers: int = 0, repeats: Optional[int] = None):
                 thread.start()
             for thread in crew:
                 thread.join()
-        campaign_wall = time.perf_counter() - start
+            worked = time.perf_counter()
+        finally:
+            server.stop()
+        stopped = time.perf_counter()
+        campaign_wall = stopped - launched
 
         # The single-host baseline: the raw spec through a default (reseeding,
         # traces-off) runner — running the already-prepared campaign cases
@@ -133,6 +140,9 @@ def run_campaign_suite(workers: int = 0, repeats: Optional[int] = None):
             "system": platform.system(),
             "workers": str(worker_count),
             "serial_wall_seconds": f"{serial_wall:.3f}",
+            "boot_seconds": f"{booted - launched:.3f}",
+            "work_seconds": f"{worked - booted:.3f}",
+            "stop_seconds": f"{stopped - worked:.3f}",
             "overhead_pct": f"{overhead_pct:.1f}",
             "byte_identical": str(identical).lower(),
         },

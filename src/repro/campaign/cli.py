@@ -184,7 +184,8 @@ def _work(args: argparse.Namespace) -> int:
 
 def _status(args: argparse.Namespace) -> int:
     try:
-        snapshot = CoordinatorClient(args.url).status()
+        with CoordinatorClient(args.url) as client:
+            snapshot = client.status()
     except CoordinatorUnreachable as exc:
         print(f"coordinator unreachable: {exc}", file=sys.stderr)
         return 3

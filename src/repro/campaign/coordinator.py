@@ -4,7 +4,10 @@ The coordinator owns two things: a :class:`~repro.campaign.lease.WorkBoard`
 (in-memory scheduling state) and the campaign's durable
 :class:`~repro.sweep.store.ResultStore`.  Workers interact with it only
 through the JSON endpoints of :mod:`repro.campaign.protocol`, served by a
-stdlib ``ThreadingHTTPServer`` — no third-party web framework.
+stdlib ``ThreadingHTTPServer`` — no third-party web framework.  Connections
+are persistent (HTTP/1.1 keep-alive, Nagle off), so a worker pays one TCP
+handshake per thread rather than one per request, and :meth:`CoordinatorServer.stop`
+cuts every open connection so no client keeps talking to a stopped campaign.
 
 **Crash safety is store-shaped.**  Every accepted record is appended to the
 JSONL store before the worker gets its acknowledgement, and the board is
@@ -26,17 +29,22 @@ is what makes the canonical store byte-identical to a single-host sweep
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Set, Union
 
 from repro.campaign.lease import BackoffPolicy, WorkBoard
 from repro.campaign.protocol import PROTOCOL_VERSION, campaign_cases
 from repro.sweep.store import ResultStore
 
 __all__ = ["Campaign", "CoordinatorServer"]
+
+#: Seconds between the serve loop's shutdown checks: the most
+#: :meth:`CoordinatorServer.stop` waits for the loop to notice it.
+_POLL_SECONDS = 0.02
 
 
 class Campaign:
@@ -85,6 +93,8 @@ class Campaign:
         #: worker name -> wall-clock instant of its last request (census only).
         self.workers_seen: Dict[str, float] = {}
         self.records_merged = 0
+        #: Set once every case is done or poisoned (at boot or by a merge).
+        self.finished = threading.Event()
         self._resume()
 
     # -- resume ------------------------------------------------------------
@@ -101,6 +111,8 @@ class Campaign:
                 # A failed attempt from a previous incarnation: keep its
                 # budget spent so restarts cannot retry a case forever.
                 self.board.restore_attempts(label, digest, int(record.get("attempt", 1)))
+        if self.board.complete:
+            self.finished.set()
 
     # -- endpoint handlers -------------------------------------------------
     def _note_worker(self, worker: str) -> None:
@@ -183,13 +195,13 @@ class Campaign:
                 if action in ("duplicate", "unknown"):
                     dropped += 1
                     continue
-                entry = self.board._by_key[(label, digest)]
+                failures = self.board.attempts(label, digest)
                 stamped = dict(payload)
                 stamped["worker"] = worker
                 stamped["shard"] = lease_id
                 # Attempt number of *this* execution: failures already
                 # counted it; a success is one past the failures so far.
-                stamped["attempt"] = entry.attempts if action != "done" else entry.attempts + 1
+                stamped["attempt"] = failures if action != "done" else failures + 1
                 if action == "poisoned":
                     stamped["poisoned"] = True
                 self.store.append(stamped)
@@ -197,11 +209,14 @@ class Campaign:
                 accepted += 1
             if done and lease_id:
                 self.board.release(lease_id)
+            complete = self.board.complete
+            if complete:
+                self.finished.set()
             return {
                 "ok": True,
                 "accepted": accepted,
                 "dropped": dropped,
-                "complete": self.board.complete,
+                "complete": complete,
             }
 
     def handle_status(self) -> Dict[str, object]:
@@ -228,6 +243,12 @@ class Campaign:
 class _CampaignHandler(BaseHTTPRequestHandler):
     """Routes the protocol endpoints onto a :class:`Campaign` (internal)."""
 
+    #: Keep-alive: one handler thread serves a client's requests in turn.
+    protocol_version = "HTTP/1.1"
+    #: Without TCP_NODELAY the body write after the headers waits out the
+    #: client's delayed ACK: ~40 ms per keep-alive round trip.
+    disable_nagle_algorithm = True
+
     #: Injected by :class:`CoordinatorServer`.
     campaign: Campaign
 
@@ -239,6 +260,11 @@ class _CampaignHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if status >= 400:
+            # The request may not have been read to its end, so the stream
+            # cannot be trusted for another request.
+            self.send_header("Connection", "close")
+            self.close_connection = True
         self.end_headers()
         self.wfile.write(body)
 
@@ -288,6 +314,45 @@ class _CampaignHandler(BaseHTTPRequestHandler):
             self._send({"error": f"unknown endpoint {self.path!r}"}, status=404)
 
 
+class _CampaignHTTPServer(ThreadingHTTPServer):
+    """A ``ThreadingHTTPServer`` that knows its open connections (internal).
+
+    A connection is registered before its handler thread starts and dropped
+    when the thread closes it, so :meth:`sever` reaches every connection the
+    serve loop ever accepted.
+    """
+
+    def __init__(self, address, handler):
+        super().__init__(address, handler)
+        self._live: Set[socket.socket] = set()
+        self._live_lock = threading.Lock()
+        #: Connections accepted over the server's lifetime.
+        self.connections_accepted = 0
+
+    def process_request(self, request, client_address):
+        """Register ``request``, then serve it on its own thread."""
+        with self._live_lock:
+            self._live.add(request)
+            self.connections_accepted += 1
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        """Unregister ``request``, then close it."""
+        with self._live_lock:
+            self._live.discard(request)
+        super().shutdown_request(request)
+
+    def sever(self) -> None:
+        """Shut every open connection down; its handler thread then sees EOF."""
+        with self._live_lock:
+            live = list(self._live)
+        for connection in live:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already closed by its handler
+
+
 class CoordinatorServer:
     """A :class:`Campaign` behind a threading HTTP server.
 
@@ -298,7 +363,7 @@ class CoordinatorServer:
     def __init__(self, campaign: Campaign, host: str = "127.0.0.1", port: int = 0):
         self.campaign = campaign
         handler = type("_BoundHandler", (_CampaignHandler,), {"campaign": campaign})
-        self.httpd = ThreadingHTTPServer((host, port), handler)
+        self.httpd = _CampaignHTTPServer((host, port), handler)
         self._thread: Optional[threading.Thread] = None
 
     @property
@@ -312,6 +377,7 @@ class CoordinatorServer:
         if self._thread is None:
             self._thread = threading.Thread(
                 target=self.httpd.serve_forever,
+                args=(_POLL_SECONDS,),
                 name="campaign-coordinator",
                 daemon=True,
             )
@@ -319,11 +385,18 @@ class CoordinatorServer:
         return self
 
     def stop(self) -> None:
-        """Stop serving and release the socket (idempotent)."""
+        """Stop serving, cut open connections and release the port (idempotent).
+
+        Returns within one serve-loop poll (:data:`_POLL_SECONDS`).  Cutting
+        the keep-alive connections sends every client back through a fresh
+        connect, so none keeps reaching this stopped campaign's handlers and a
+        coordinator restarted on the same port is found.
+        """
         if self._thread is not None:
             self.httpd.shutdown()
             self._thread.join()
             self._thread = None
+        self.httpd.sever()
         self.httpd.server_close()
 
     def __enter__(self) -> "CoordinatorServer":
@@ -332,19 +405,12 @@ class CoordinatorServer:
     def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
         self.stop()
 
-    def serve_until_complete(
-        self, poll_seconds: float = 0.2, timeout: Optional[float] = None
-    ) -> bool:
+    def serve_until_complete(self, timeout: Optional[float] = None) -> bool:
         """Block until the campaign completes; ``False`` on ``timeout``.
 
-        The server keeps answering ``/status`` during and after the wait;
-        call :meth:`stop` when done with it.
+        Wakes the moment the completing merge lands.  The server keeps
+        answering ``/status`` during and after the wait; call :meth:`stop`
+        when done with it.
         """
         self.start()
-        pacer = threading.Event()
-        deadline = time.monotonic() + timeout if timeout is not None else None
-        while not self.campaign.complete:
-            if deadline is not None and time.monotonic() >= deadline:
-                return False
-            pacer.wait(poll_seconds)
-        return True
+        return self.campaign.finished.wait(timeout)

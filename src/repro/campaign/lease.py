@@ -341,6 +341,10 @@ class WorkBoard:
         return "retry"
 
     # -- introspection -----------------------------------------------------
+    def attempts(self, label: str, config_hash: str) -> int:
+        """Failed executions recorded so far for one case (``KeyError`` if unknown)."""
+        return self._by_key[(label, config_hash)].attempts
+
     @property
     def complete(self) -> bool:
         """Whether every case is done or poisoned (nothing left to run)."""

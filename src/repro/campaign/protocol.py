@@ -1,7 +1,7 @@
 """Wire protocol shared by the campaign coordinator and its workers.
 
-Everything on the wire is JSON over HTTP (stdlib only: ``http.server`` on
-the coordinator, ``urllib.request`` here).  Configurations never travel:
+Everything on the wire is JSON over HTTP/1.1 (stdlib only: ``http.server``
+on the coordinator, ``http.client`` here).  Configurations never travel:
 a campaign is identified by a small **spec descriptor** — the figure name
 plus the CLI downsizing knobs — and both sides expand it independently
 through :func:`repro.sweep.cli.build_spec` and prepare it with
@@ -20,15 +20,31 @@ Endpoints (all responses are JSON bodies with HTTP 200):
 ``/heartbeat``  POST ``{worker, lease_id}`` -> ``{ok}`` (``false`` = abandon)
 ``/results`` POST    ``{worker, lease_id, records, done}`` -> merge ack
 ===========  ======  ====================================================
+
+The wire is built for many small round trips:
+
+* **Persistent connections.**  A :class:`CoordinatorClient` keeps one
+  keep-alive connection per calling thread (a worker's main loop and its
+  heartbeat pump each hold one), and both ends turn Nagle's algorithm off,
+  so a round trip costs no handshake and no delayed-ACK stall.
+* **Severed on stop.**  ``CoordinatorServer.stop()`` shuts every open
+  connection down.  A client whose *reused* connection fails reconnects
+  once before the call counts as :class:`CoordinatorUnreachable`, so it
+  finds a coordinator restarted on the same port instead of a dead one.
+* **``done`` on the last record.**  A worker streams records one per
+  ``/results`` POST, so a killed worker loses at most its in-flight case,
+  and retires a finished shard by setting ``done`` on its last record's
+  POST: a shard of *n* cases costs *n* POSTs.
 """
 
 from __future__ import annotations
 
 import argparse
+import http.client
 import json
-import urllib.error
-import urllib.request
+import threading
 from typing import Dict, List, Optional
+from urllib.parse import urlsplit
 
 __all__ = [
     "CoordinatorClient",
@@ -106,29 +122,58 @@ class CoordinatorUnreachable(RuntimeError):
     """The coordinator did not answer (down, restarting, or unreachable)."""
 
 
+class _ThreadConnection(threading.local):
+    """The calling thread's persistent connection (``None`` until first use)."""
+
+    connection: Optional[http.client.HTTPConnection] = None
+
+
 def request_json(
-    url: str, payload: Optional[Dict[str, object]] = None, timeout: float = 10.0
+    keepalive: _ThreadConnection,
+    url: str,
+    payload: Optional[Dict[str, object]] = None,
+    timeout: float = 10.0,
 ) -> Dict[str, object]:
     """One JSON round trip: GET (``payload=None``) or POST ``payload``.
+
+    The round trip uses the calling thread's connection held in
+    ``keepalive`` (opened on first use, so every call sharing one
+    ``keepalive`` must go to the same host) and leaves it open for the next
+    call.  A failure on a connection that already carried a request earns
+    one fresh connect: the coordinator may have closed it since, by
+    stopping or restarting.
 
     Transport-level failures raise :class:`CoordinatorUnreachable` (callers
     retry those — the coordinator may simply be restarting); an HTTP error
     status or a non-object body raises ``RuntimeError`` (a protocol bug, not
     worth retrying).
     """
-    data = None
-    headers = {}
+    parts = urlsplit(url)
+    if parts.scheme != "http" or not parts.hostname:
+        raise ValueError(f"not an http:// URL: {url!r}")
+    method, data, headers = "GET", None, {}
     if payload is not None:
+        method = "POST"
         data = json.dumps(payload).encode("utf-8")
         headers["Content-Type"] = "application/json"
-    request = urllib.request.Request(url, data=data, headers=headers)
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
+    connection = keepalive.connection
+    if connection is None:
+        connection = keepalive.connection = http.client.HTTPConnection(
+            parts.hostname, parts.port, timeout=timeout
+        )
+    tries = 2 if connection.sock is not None else 1
+    for attempt in range(tries):
+        try:
+            connection.request(method, parts.path or "/", body=data, headers=headers)
+            response = connection.getresponse()
             body = response.read()
-    except urllib.error.HTTPError as exc:
-        raise RuntimeError(f"{url}: HTTP {exc.code} {exc.reason}") from exc
-    except (urllib.error.URLError, ConnectionError, TimeoutError, OSError) as exc:
-        raise CoordinatorUnreachable(f"{url}: {exc}") from exc
+            break
+        except (http.client.HTTPException, OSError) as exc:
+            connection.close()  # the next request reconnects
+            if attempt == tries - 1:
+                raise CoordinatorUnreachable(f"{url}: {exc}") from exc
+    if response.status >= 400:
+        raise RuntimeError(f"{url}: HTTP {response.status} {response.reason}")
     decoded = json.loads(body.decode("utf-8"))
     if not isinstance(decoded, dict):
         raise RuntimeError(f"{url}: expected a JSON object, got {type(decoded).__name__}")
@@ -136,36 +181,53 @@ def request_json(
 
 
 class CoordinatorClient:
-    """Typed JSON client for the coordinator's endpoints."""
+    """Typed JSON client for the coordinator's endpoints.
+
+    Each calling thread keeps one persistent connection, because a worker's
+    heartbeat pump shares the client from its own thread.  A thread that is
+    done with the client calls :meth:`close` (or leaves a ``with`` block),
+    so its connection does not outlive it.
+    """
 
     def __init__(self, base_url: str, timeout: float = 10.0):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        self._keepalive = _ThreadConnection()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<CoordinatorClient {self.base_url!r}>"
 
+    def __enter__(self) -> "CoordinatorClient":
+        return self
+
+    def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close the calling thread's connection (a later call reconnects)."""
+        if self._keepalive.connection is not None:
+            self._keepalive.connection.close()
+
+    def _request(
+        self, path: str, payload: Optional[Dict[str, object]] = None
+    ) -> Dict[str, object]:
+        return request_json(self._keepalive, f"{self.base_url}{path}", payload, self.timeout)
+
     def spec(self) -> Dict[str, object]:
         """The campaign's descriptor and execution knobs."""
-        return request_json(f"{self.base_url}/spec", timeout=self.timeout)
+        return self._request("/spec")
 
     def status(self) -> Dict[str, object]:
         """The coordinator's live status snapshot."""
-        return request_json(f"{self.base_url}/status", timeout=self.timeout)
+        return self._request("/status")
 
     def lease(self, worker: str) -> Dict[str, object]:
         """Request the next shard lease for ``worker``."""
-        return request_json(
-            f"{self.base_url}/lease", {"worker": worker}, timeout=self.timeout
-        )
+        return self._request("/lease", {"worker": worker})
 
     def heartbeat(self, worker: str, lease_id: str) -> Dict[str, object]:
         """Keep a lease alive; ``{"ok": false}`` means it was reclaimed."""
-        return request_json(
-            f"{self.base_url}/heartbeat",
-            {"worker": worker, "lease_id": lease_id},
-            timeout=self.timeout,
-        )
+        return self._request("/heartbeat", {"worker": worker, "lease_id": lease_id})
 
     def results(
         self,
@@ -175,8 +237,7 @@ class CoordinatorClient:
         done: bool = False,
     ) -> Dict[str, object]:
         """Stream a batch of record payloads back; ``done`` retires the lease."""
-        return request_json(
-            f"{self.base_url}/results",
+        return self._request(
+            "/results",
             {"worker": worker, "lease_id": lease_id, "records": records, "done": done},
-            timeout=self.timeout,
         )

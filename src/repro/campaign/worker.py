@@ -6,7 +6,9 @@ campaign's spec descriptor, expands the *same* prepared case list locally
 (see :func:`~repro.campaign.protocol.campaign_cases`), and then loops:
 lease a shard, execute its cases one by one, and stream each record back
 the moment it exists, so a worker killed mid-shard loses at most the case
-it was running.
+it was running.  The last record's POST also retires the lease, so a shard
+of *n* cases costs *n* ``/results`` round trips, all over the thread's one
+keep-alive connection.
 
 Robustness behaviours:
 
@@ -109,14 +111,17 @@ class CampaignWorker:
 
     # -- heartbeat pump ------------------------------------------------------
     def _pump_heartbeats(self, lease_id: str, interval: float, done: threading.Event) -> None:
-        while not done.wait(interval):
-            try:
-                answer = self.client.heartbeat(self.name, lease_id)
-            except CoordinatorUnreachable:
-                continue  # outage: the retry loop in _call covers real work
-            if not answer.get("ok", False):
-                self._abandoned.set()
-                return
+        try:
+            while not done.wait(interval):
+                try:
+                    answer = self.client.heartbeat(self.name, lease_id)
+                except CoordinatorUnreachable:
+                    continue  # outage: the retry loop in _call covers real work
+                if not answer.get("ok", False):
+                    self._abandoned.set()
+                    return
+        finally:
+            self.client.close()  # this thread's connection dies with it
 
     # -- execution -----------------------------------------------------------
     def _run_case(self, runner: SweepRunner, case) -> Dict[str, object]:
@@ -143,6 +148,12 @@ class CampaignWorker:
         Raises :class:`CoordinatorUnreachable` if the coordinator stays down
         past ``give_up_seconds``, and ``RuntimeError`` on spec drift.
         """
+        try:
+            return self._work()
+        finally:
+            self.client.close()
+
+    def _work(self) -> Dict[str, int]:
         spec = self._call(self.client.spec)
         descriptor = spec.get("descriptor")
         if not isinstance(descriptor, dict):
@@ -183,8 +194,9 @@ class CampaignWorker:
                 daemon=True,
             )
             pump.start()
+            retired = False
             try:
-                for leased in shard:
+                for position, leased in enumerate(shard, start=1):
                     if self._stop.is_set() or self._abandoned.is_set():
                         break
                     index = int(leased["index"])
@@ -213,17 +225,22 @@ class CampaignWorker:
                     self.cases_run += 1
                     if not payload.get("ok", True):
                         self.cases_failed += 1
+                    # The shard's last record retires the lease on the same POST.
+                    last = position == len(shard) and not self._abandoned.is_set()
                     self._call(
-                        lambda p=payload: self.client.results(self.name, lease_id, [p])
+                        lambda p=payload, d=last: self.client.results(
+                            self.name, lease_id, [p], done=d
+                        )
                     )
                     self.records_sent += 1
+                    retired = last
             finally:
                 pump_done.set()
                 pump.join()
                 runner.close()
-            if not self._abandoned.is_set():
-                # Retire the lease explicitly; on outage the lease simply
-                # expires, which is equivalent (just slower).
+            if not retired and not self._abandoned.is_set():
+                # A shard cut short by stop() is retired on its own; on outage
+                # the lease simply expires, which is equivalent (just slower).
                 try:
                     self._call(
                         lambda: self.client.results(self.name, lease_id, [], done=True)

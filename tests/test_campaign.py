@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import threading
+import time
+import warnings
 
 import pytest
 
@@ -172,6 +175,15 @@ class TestWorkBoard:
         assert counts["done"] == 1 and counts["poisoned"] == 1
         assert board.entries[2].attempts == 2
         assert not board.mark_done("missing", "missing")
+
+    def test_attempts_counts_failed_executions(self):
+        board = _board(1, shard_size=1, backoff=BackoffPolicy(base_seconds=0.0, jitter=0.0))
+        assert board.attempts("case-0", "hash-0") == 0
+        board.lease("w1")
+        board.record_result("case-0", "hash-0", False, "transient")
+        assert board.attempts("case-0", "hash-0") == 1
+        with pytest.raises(KeyError):
+            board.attempts("nope", "nope")
 
     def test_duplicate_case_keys_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -352,6 +364,104 @@ class TestCampaignEndToEnd:
             with pytest.raises(RuntimeError, match="spec drift"):
                 CampaignWorker(server.url, name="drifted").run()
         assert store.load() == []
+
+
+def _counting(campaign, endpoint):
+    """Wrap ``campaign.handle_<endpoint>`` so it counts its calls."""
+    calls = []
+    original = getattr(campaign, f"handle_{endpoint}")
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    setattr(campaign, f"handle_{endpoint}", counted)
+    return calls
+
+
+class TestCampaignWire:
+    def test_stop_of_idle_server_is_prompt(self, tmp_path):
+        campaign = Campaign(_tiny_descriptor(), tmp_path / "c.jsonl")
+        server = CoordinatorServer(campaign).start()
+        start = time.perf_counter()
+        server.stop()
+        assert time.perf_counter() - start < 0.1
+
+    def test_worker_keeps_one_connection_per_thread(self, tmp_path):
+        # A lease outlasting the run keeps the heartbeat pumps silent, so
+        # the workers' own loops are the only threads that connect.
+        campaign = Campaign(_tiny_descriptor(), tmp_path / "c.jsonl", shard_size=2,
+                            lease_seconds=120.0)
+        with CoordinatorServer(campaign) as server:
+            workers = [CampaignWorker(server.url, name=f"t{i}") for i in range(2)]
+            threads = [threading.Thread(target=w.run, daemon=True) for w in workers]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        assert campaign.board.counts()["done"] == 9
+        requests = sum(w.leases_taken + w.records_sent for w in workers)
+        assert requests > 9
+        assert server.httpd.connections_accepted == 2
+
+    def test_shard_of_n_cases_costs_n_results_posts(self, tmp_path):
+        campaign = Campaign(_tiny_descriptor(), tmp_path / "c.jsonl", shard_size=3,
+                            lease_seconds=120.0)
+        posts = _counting(campaign, "results")
+        (worker,) = _run_campaign(campaign, worker_count=1)
+        assert worker.leases_taken == 3
+        assert len(posts) == 9
+        assert [done for *_, done in posts] == [False, False, True] * 3
+        # Every lease was retired by its last record, none left to expire.
+        assert campaign.board.leases == {} and campaign.board.leases_expired == 0
+
+    def test_keepalive_client_reaches_coordinator_restarted_on_same_port(self, tmp_path):
+        first = Campaign(_tiny_descriptor(), tmp_path / "first.jsonl")
+        server = CoordinatorServer(first).start()
+        port = server.httpd.server_address[1]
+        with CoordinatorClient(server.url) as client:
+            assert client.status()["store"] == str(first.store.path)
+            assert client.status()["store"] == str(first.store.path)
+            server.stop()
+            assert server.httpd.connections_accepted == 1
+            second = Campaign(_tiny_descriptor(), tmp_path / "second.jsonl")
+            with CoordinatorServer(second, port=port):
+                assert client.status()["store"] == str(second.store.path)
+
+    def test_http_error_is_runtime_error_and_the_next_call_reconnects(self, tmp_path):
+        campaign = Campaign(_tiny_descriptor(), tmp_path / "c.jsonl")
+        with CoordinatorServer(campaign) as server, CoordinatorClient(server.url) as client:
+            assert client.status()["counts"]["total"] == 9
+            with pytest.raises(RuntimeError, match="HTTP 404"):
+                client._request("/nope", {})
+            assert client.status()["counts"]["total"] == 9
+        # The error response closed its connection, so the last call opened one.
+        assert server.httpd.connections_accepted == 2
+
+    def test_serve_until_complete_wakes_on_the_completing_merge(self, tmp_path):
+        serial = _serial_baseline(tmp_path)
+        with CoordinatorServer(Campaign(_tiny_descriptor(), serial)) as server:
+            assert server.serve_until_complete(timeout=0)
+        campaign = Campaign(_tiny_descriptor(), tmp_path / "c.jsonl", shard_size=3)
+        assert not campaign.finished.is_set()
+        _run_campaign(campaign)
+        assert campaign.finished.is_set()
+
+    def test_campaign_leaks_no_socket(self, tmp_path):
+        # A short lease and throttled cases make every worker's heartbeat
+        # pump open its own connection; each must be closed, not collected.
+        campaign = Campaign(_tiny_descriptor(), tmp_path / "c.jsonl", shard_size=3,
+                            lease_seconds=0.3)
+        heartbeats = _counting(campaign, "heartbeat")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            workers = _run_campaign(campaign, throttle_seconds=0.15)
+            del workers
+            gc.collect()
+        assert heartbeats
+        assert campaign.board.counts()["done"] == 9
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert leaks == [], [str(w.message) for w in leaks]
 
 
 class TestCampaignCLI:
