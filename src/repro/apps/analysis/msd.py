@@ -70,10 +70,6 @@ class MeanSquaredDisplacement:
         """MSD per time step (averaging over the blocks of that step)."""
         return {step: float(np.mean(vals)) for step, vals in sorted(self._per_step.items())}
 
-    @property
-    def steps_seen(self) -> int:
-        return len(self._per_step)
-
     def is_monotonic(self, tolerance: float = 0.0) -> bool:
         """Whether the MSD curve is non-decreasing (true for a melting solid)."""
         curve = list(self.curve().values())

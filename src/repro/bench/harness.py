@@ -82,9 +82,9 @@ def _pipeline_suite() -> List[Tuple[str, object]]:
 @_suite("elastic", repeats=1)
 def _elastic_suite() -> List[Tuple[str, object]]:
     """Elastic control-loop suite: the bursty grid under both policies."""
-    from repro.bench.experiments import model_vs_threshold_configs
+    from repro.bench.experiments import model_vs_threshold_spec
 
-    return model_vs_threshold_configs(steps=24)
+    return model_vs_threshold_spec(steps=24).configs()
 
 
 @_suite("faults", repeats=1)

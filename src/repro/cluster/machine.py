@@ -96,10 +96,6 @@ class Cluster:
         """Cores in the full represented job."""
         return self.total_nodes * self.spec.node.cores
 
-    @property
-    def modelled_cores(self) -> int:
-        return self.num_nodes * self.spec.node.cores
-
     def node(self, node_id: int) -> ComputeNode:
         return self.nodes[node_id]
 

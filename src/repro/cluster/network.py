@@ -328,8 +328,9 @@ class Network:
         try:
             yield env.sleep(duration)
         finally:
-            # Runs even when the transfer's process is interrupted or killed,
-            # otherwise the port keeps phantom congestion load forever.
+            # Runs even when the transfer's generator is closed or has an
+            # exception thrown in at this wait, otherwise the port keeps
+            # phantom congestion load forever.
             for stage in stages:
                 load = stage.load - congestion_weight
                 stage.load = load if load > 0.0 else 0.0

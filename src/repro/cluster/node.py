@@ -133,11 +133,6 @@ class ComputeNode:
             * self._tenant_scale
         )
 
-    @property
-    def tenant_scale(self) -> float:
-        """Share of this node's compute granted to the hosting job's tenant."""
-        return self._tenant_scale
-
     def set_tenant_scale(self, scale: float) -> None:
         """Scale this node's compute rate to the tenant's facility share.
 

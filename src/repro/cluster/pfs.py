@@ -77,10 +77,6 @@ class ParallelFileSystem:
         """Rate a new request would see given the current in-flight load."""
         return self.aggregate_bandwidth / max(1.0, self._active + 1.0)
 
-    @property
-    def active_requests(self) -> float:
-        return self._active
-
     # -- data path --------------------------------------------------------
     def write(
         self,

@@ -185,11 +185,6 @@ class ScalingModel:
         if self.modelled_processes > self.total_processes:
             raise ValueError("modelled_processes cannot exceed total_processes")
 
-    @property
-    def scale_factor(self) -> float:
-        """How many real ranks one simulated rank stands for."""
-        return self.total_processes / self.modelled_processes
-
 
 @dataclass(frozen=True)
 class ClusterSpec:

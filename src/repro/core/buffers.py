@@ -58,11 +58,6 @@ class ProducerBuffer:
         with self._lock:
             return self._closed
 
-    @property
-    def is_full(self) -> bool:
-        with self._lock:
-            return len(self._blocks) >= self.capacity
-
     def above_watermark(self) -> bool:
         with self._lock:
             return len(self._blocks) > self.high_water_mark

@@ -30,11 +30,8 @@ _EVENT_BASES = frozenset(
         "Event",
         "Timeout",
         "Initialize",
-        "Interruption",
         "Process",
-        "ConditionEvent",
         "AllOf",
-        "AnyOf",
         "Request",
         "Release",
         "StorePut",

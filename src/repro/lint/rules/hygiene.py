@@ -3,7 +3,7 @@
 These are general Python hazards, scoped to where they bite this code base:
 mutable default arguments leak state between simulation runs that share a
 process (the sweep's persistent worker pool), bare excepts swallow
-``Interrupt``/``BufferClosed`` control flow in consumer loops, and
+``BufferClosed`` control flow in consumer loops, and
 sleep-polling in the threaded runtime both burns CPU and makes measured
 stall times scheduler-dependent.
 """
@@ -70,10 +70,9 @@ class BareExcept(Rule):
     name = "bare-except"
     rationale = (
         "`except:` catches `KeyboardInterrupt`, `SystemExit` and the "
-        "simulator's own control-flow exceptions (`Interrupt`, "
-        "`BufferClosed`), silently eating shutdown and interrupt delivery "
-        "in consumer loops.  Catch `Exception` — or the specific type — "
-        "instead."
+        "runtime's own control-flow exception (`BufferClosed`), silently "
+        "eating shutdown and end-of-stream delivery in consumer loops.  "
+        "Catch `Exception` — or the specific type — instead."
     )
     fixable = True
 

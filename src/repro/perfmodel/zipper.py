@@ -47,10 +47,6 @@ class StageTimes:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
-    def as_tuple(self) -> Tuple[float, float, float, float]:
-        """The four per-block times as a ``(tc, tm, ta, ts)`` tuple."""
-        return (self.compute, self.transfer, self.analysis, self.store)
-
 
 @dataclass(frozen=True)
 class PerformanceModel:

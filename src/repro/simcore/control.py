@@ -200,7 +200,3 @@ class CounterDeltas:
         current = {key: float(value) for key, value in counters.items()}
         self._snapshots[group] = current
         return {key: value - previous.get(key, 0.0) for key, value in current.items()}
-
-    def peek(self, group: str) -> Dict[str, float]:
-        """The last snapshot taken for ``group`` (empty if never advanced)."""
-        return dict(self._snapshots.get(group, {}))

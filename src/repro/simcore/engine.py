@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from itertools import count
-from typing import Any, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro import sanitize as _sanitize
 from repro.simcore.errors import SimulationError
@@ -39,20 +39,22 @@ class Environment:
         Run with the :mod:`repro.sanitize` determinism traps armed:
         clock/global-RNG guards during event execution, crediting
         validation, and order-sensitivity checks.  ``None`` (the default)
-        defers to the ``REPRO_SANITIZE`` environment variable.
+        defers to the ``REPRO_SANITIZE`` environment variable.  Both modes
+        run the same step body; a sanitized environment wraps it in the
+        sanitizer's event window, chosen once per ``run`` call rather than
+        tested per event.
 
     Notes
     -----
-    Ties in event time are broken first by scheduling *priority* (urgent events
-    such as process initialisation and interrupts run before normal events),
-    then by insertion order, which keeps the simulation fully deterministic.
+    Ties in event time are broken first by scheduling *priority* (process
+    initialisation runs before normal events), then by insertion order,
+    which keeps the simulation fully deterministic.
     """
 
     __slots__ = (
         "_now",
         "_queue",
         "_eid",
-        "_active_process",
         "_events_processed",
         "_solo_callback",
         "_sanitize",
@@ -68,7 +70,6 @@ class Environment:
         self._now = float(initial_time)
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._eid = count()
-        self._active_process: Optional[Process] = None
         self._events_processed = 0
         self._sanitize = _sanitize.default_enabled() if sanitize is None else bool(sanitize)
         self._in_event = False
@@ -89,11 +90,6 @@ class Environment:
     def now(self) -> float:
         """Current simulation time."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed (``None`` between events)."""
-        return self._active_process
 
     @property
     def events_processed(self) -> int:
@@ -250,8 +246,14 @@ class Environment:
 
     def step(self) -> None:
         """Process exactly one event (advancing the clock to its time)."""
-        if self._sanitize:
-            return self._sanitized_step()
+        self._stepper()()
+
+    def _stepper(self) -> Callable[[], None]:
+        """The step body for this environment, picked once per run call."""
+        return self._sanitized_step if self._sanitize else self._step
+
+    def _step(self) -> None:
+        """Pop the next event, advance the clock to it and run its callbacks."""
         queue = self._queue
         if not queue:
             raise EmptySchedule()
@@ -280,43 +282,19 @@ class Environment:
             raise event._value
 
     def _sanitized_step(self) -> None:
-        """The :meth:`step` body with the :mod:`repro.sanitize` traps armed.
+        """:meth:`_step` inside the :mod:`repro.sanitize` event window.
 
-        A separate implementation so the unsanitized hot path pays exactly
-        one extra attribute test.  Differences: the clock/RNG guards are
-        active while callbacks run (``try/finally`` so a trap cannot leave
-        them armed) and crediting is validated (``_in_event``).
+        The clock/RNG guards trap and crediting is validated (``_in_event``)
+        while the event executes; ``try/finally`` so a trap cannot leave
+        them armed.
         """
-        queue = self._queue
-        if not queue:
-            raise EmptySchedule()
-        when, _prio, _eid, event = heappop(queue)
-
-        self._now = when
-        callbacks = event.callbacks
-        if callbacks is None:
-            raise SimulationError(f"{event!r} was scheduled twice")
-        event.callbacks = None
         _sanitize.enter_step()
         self._in_event = True
         try:
-            if callbacks:
-                if len(callbacks) == 1:
-                    self._solo_callback = True
-                    try:
-                        callbacks[0](event)
-                    finally:
-                        self._solo_callback = False
-                else:
-                    for callback in callbacks:
-                        callback(event)
+            self._step()
         finally:
             self._in_event = False
             _sanitize.exit_step()
-        self._events_processed += 1
-
-        if not event._ok and not event._defused:
-            raise event._value
 
     def run(self, until: Optional[Any] = None) -> Any:
         """Run the simulation.
@@ -331,14 +309,14 @@ class Environment:
         """
         if until is None:
             # Drain the queue (the common whole-simulation run).
-            step = self.step
+            step = self._stepper()
             while self._queue:
                 step()
             return None
 
         if isinstance(until, Event):
             stop_event = until
-            step = self.step
+            step = self._stepper()
             while stop_event.callbacks is not None:
                 if not self._queue:
                     raise SimulationError(
@@ -357,7 +335,7 @@ class Environment:
                 f"until={stop_time!r} lies before the current time {self._now!r}"
             )
         queue = self._queue
-        step = self.step
+        step = self._stepper()
         while queue and queue[0][0] <= stop_time:
             step()
         self._now = stop_time
@@ -394,7 +372,7 @@ class Environment:
                 f"stop_time={bound!r} lies before the current time {self._now!r}"
             )
         queue = self._queue
-        step = self.step
+        step = self._stepper()
         while stop_event.callbacks is not None:
             if not queue:
                 raise SimulationError(
@@ -418,11 +396,12 @@ class Environment:
         loops in a model.
         """
         processed = 0
+        step = self._stepper()
         while self._queue:
             if max_events is not None and processed >= max_events:
                 raise SimulationError(
                     f"run_all exceeded the budget of {max_events} events"
                 )
-            self.step()
+            step()
             processed += 1
         return processed

@@ -1,42 +1,13 @@
-"""Exception types used throughout the discrete-event simulation kernel."""
+"""The exception type raised by the discrete-event simulation kernel."""
 
 from __future__ import annotations
 
 
 class SimulationError(RuntimeError):
-    """Base class for all errors raised by the simulation kernel.
+    """The error the simulation kernel raises.
 
     Raised for misuse of the kernel API (triggering an event twice, running a
     finished environment, yielding a non-event from a process, ...).  Model
     code is encouraged to let these propagate: they indicate a bug in the
     model, not a property of the simulated system.
     """
-
-
-class Interrupt(Exception):
-    """Raised *inside* a process when another process interrupts it.
-
-    The interrupting party calls :meth:`repro.simcore.events.Process.interrupt`
-    with an optional ``cause``; the target process sees this exception raised
-    at its current ``yield`` statement and may catch it to clean up or to react
-    (the Zipper runtime uses interrupts to shut down its helper threads).
-    """
-
-    def __init__(self, cause: object = None):
-        super().__init__(cause)
-        self.cause = cause
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Interrupt(cause={self.cause!r})"
-
-
-class StopProcess(Exception):
-    """Raised by model code to terminate the *current* process early.
-
-    Equivalent to ``return`` from the process generator but usable from helper
-    functions that do not have access to the generator frame.
-    """
-
-    def __init__(self, value: object = None):
-        super().__init__(value)
-        self.value = value

@@ -4,16 +4,16 @@ The design follows the classic process-interaction style: model code is
 written as Python generator functions ("processes") that ``yield`` events.
 When a yielded event is processed by the :class:`~repro.simcore.engine.Environment`,
 the process resumes with the event's value (or with an exception if the event
-failed or the process was interrupted).
+failed).
 """
 
 from __future__ import annotations
 
 from heapq import heappush
-from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, List, Optional
 
 from repro import sanitize as _sanitize
-from repro.simcore.errors import Interrupt, SimulationError, StopProcess
+from repro.simcore.errors import SimulationError
 
 if TYPE_CHECKING:
     from repro.simcore.engine import Environment
@@ -30,11 +30,8 @@ __all__ = [
     "Event",
     "Timeout",
     "Initialize",
-    "Interruption",
     "Process",
-    "ConditionEvent",
     "AllOf",
-    "AnyOf",
 ]
 
 #: Sentinel for an event value that has not been set yet.
@@ -95,15 +92,6 @@ class Event:
             raise SimulationError("value is not available for untriggered events")
         return self._value
 
-    @property
-    def defused(self) -> bool:
-        """Whether a failure has been acknowledged by some waiter."""
-        return self._defused
-
-    def defuse(self) -> None:
-        """Mark a failed event as handled so the environment will not re-raise."""
-        self._defused = True
-
     # -- triggering -----------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value`` at the current time."""
@@ -124,15 +112,6 @@ class Event:
             raise SimulationError(f"{self!r} has already been triggered")
         self._ok = False
         self._value = exception
-        self.env.schedule(self)
-        return self
-
-    def trigger(self, event: "Event") -> "Event":
-        """Copy another event's outcome onto this event and schedule it."""
-        if self._value is not PENDING:
-            raise SimulationError(f"{self!r} has already been triggered")
-        self._ok = event._ok
-        self._value = event._value
         self.env.schedule(self)
         return self
 
@@ -170,6 +149,7 @@ class Timeout(Event):
 
     @property
     def delay(self) -> float:
+        """The delay the timeout was created with."""
         return self._delay
 
     def __repr__(self) -> str:
@@ -190,41 +170,6 @@ class Initialize(Event):
         env.schedule(self, priority=URGENT)
 
 
-class Interruption(Event):
-    """Internal event used to deliver an :class:`~repro.simcore.errors.Interrupt`."""
-
-    __slots__ = ("process",)
-
-    def __init__(self, process: "Process", cause: Any):
-        super().__init__(process.env)
-        if process.processed:
-            raise SimulationError("cannot interrupt a finished process")
-        if process is self.env.active_process:
-            raise SimulationError("a process cannot interrupt itself")
-        self.process = process
-        self._ok = False
-        self._value = Interrupt(cause)
-        self._defused = True
-        assert self.callbacks is not None  # freshly created, never processed
-        self.callbacks.append(self._interrupt)
-        self.env.schedule(self, priority=URGENT)
-
-    def _interrupt(self, event: Event) -> None:
-        process = self.process
-        if process.processed:
-            # The process finished between scheduling and delivery; drop it.
-            return
-        # Detach the process from whatever it is currently waiting for so the
-        # original event's eventual processing does not resume it twice.
-        target = process._target
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(process._resume)
-            except ValueError:
-                pass
-        process._resume(self)
-
-
 class Process(Event):
     """Wraps a generator and drives it through the event loop.
 
@@ -232,7 +177,7 @@ class Process(Event):
     returns (successfully, with the return value) or raises (failure).
     """
 
-    __slots__ = ("_generator", "_target")
+    __slots__ = ("_generator",)
 
     def __init__(self, env: "Environment", generator: ProcessGenerator):
         if not hasattr(generator, "throw"):
@@ -242,26 +187,16 @@ class Process(Event):
             )
         super().__init__(env)
         self._generator = generator
-        self._target: Optional[Event] = Initialize(env, self)
-
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently waiting for (``None`` if running)."""
-        return self._target
+        Initialize(env, self)
 
     @property
     def is_alive(self) -> bool:
         """``True`` while the underlying generator has not finished."""
         return self._value is PENDING
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Deliver an :class:`Interrupt` to this process at the current time."""
-        Interruption(self, cause)
-
     # -- generator stepping ---------------------------------------------
     def _resume(self, event: Event) -> None:
         env = self.env
-        env._active_process = self
         while True:
             try:
                 if event._ok:
@@ -272,12 +207,6 @@ class Process(Event):
                     event._defused = True
                     next_event = self._generator.throw(event._value)
             except StopIteration as exc:
-                self._ok = True
-                self._value = exc.value
-                env.schedule(self)
-                break
-            except StopProcess as exc:
-                self._generator.close()
                 self._ok = True
                 self._value = exc.value
                 env.schedule(self)
@@ -299,42 +228,33 @@ class Process(Event):
 
             if next_event.callbacks is not None:
                 # The event has not been processed yet; park until it is.
-                self._target = next_event
                 next_event.callbacks.append(self._resume)
                 break
             # The event was already processed: loop immediately with its value.
             event = next_event
-
-        self._target = None if self.triggered else self._target
-        env._active_process = None
 
     def __repr__(self) -> str:
         name = getattr(self._generator, "__name__", str(self._generator))
         return f"<Process({name}) at {id(self):#x}>"
 
 
-class ConditionEvent(Event):
-    """An event that triggers when a predicate over child events is satisfied.
+class AllOf(Event):
+    """Triggers once *all* child events are processed (``MPI_Waitall``-like).
 
-    The value of a ``ConditionEvent`` is a dict mapping each *triggered* child
-    event to its value, in the order the children were supplied.
+    The value is a dict mapping each child event to its value, in the order
+    the children were supplied.  The first child to fail fails the
+    condition with that child's exception.
     """
 
-    __slots__ = ("_evaluate", "_events", "_count")
+    __slots__ = ("_events", "_count")
 
-    def __init__(
-        self,
-        env: "Environment",
-        evaluate: Callable[[List[Event], int], bool],
-        events: Iterable[Event],
-    ):
+    def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
         if env._sanitize:
             # A condition's trigger order follows its children's schedule
             # order; building one from a set would bake hash-salted
             # iteration order into the event heap.
-            _sanitize.check_ordered(events, "ConditionEvent(events=...)")
-        self._evaluate = evaluate
+            _sanitize.check_ordered(events, "AllOf(events=...)")
         self._events: List[Event] = list(events)
         self._count = 0
 
@@ -343,7 +263,7 @@ class ConditionEvent(Event):
                 raise SimulationError("cannot mix events from different environments")
 
         if not self._events:
-            self.succeed(self._collect())
+            self.succeed({})
             return
 
         for ev in self._events:
@@ -351,12 +271,6 @@ class ConditionEvent(Event):
                 self._check(ev)
             else:
                 ev.add_callback(self._check)
-
-    def _collect(self) -> Dict[Event, Any]:
-        # Only events that have actually been *processed* contribute a value:
-        # a Timeout carries its value from construction time, but it has not
-        # "happened" until the clock reaches it.
-        return {ev: ev._value for ev in self._events if ev.processed}
 
     def _check(self, event: Event) -> None:
         if self.triggered:
@@ -367,26 +281,10 @@ class ConditionEvent(Event):
         if not event._ok:
             event._defused = True
             self.fail(event._value)
-        elif self._evaluate(self._events, self._count):
-            self.succeed(self._collect())
+        elif self._count >= len(self._events):
+            # Every child has been processed (a callback runs after its
+            # event is marked processed), so each contributes its value.
+            self.succeed({ev: ev._value for ev in self._events})
 
     def __len__(self) -> int:
         return len(self._events)
-
-
-class AllOf(ConditionEvent):
-    """Triggers when *all* child events have triggered (``MPI_Waitall``-like)."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, lambda evs, count: count >= len(evs), events)
-
-
-class AnyOf(ConditionEvent):
-    """Triggers when *any* child event has triggered (``MPI_Waitany``-like)."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, lambda evs, count: count >= 1 or not evs, events)

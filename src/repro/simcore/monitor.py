@@ -1,19 +1,14 @@
-"""Statistics collection helpers for simulation models.
+"""Statistics collection for simulation models.
 
-Two collectors cover the needs of the cluster and runtime models:
-
-* :class:`TallyMonitor` — running statistics over discrete observations
-  (message sizes, per-block service times, stall durations).
-* :class:`TimeSeriesMonitor` — a piecewise-constant time series with
-  time-weighted statistics (queue lengths, buffer occupancy, link utilisation).
+:class:`TallyMonitor` keeps running statistics over discrete observations
+(message sizes, per-block service times, stall durations).
 """
 
 from __future__ import annotations
 
-import math
-from typing import List, Optional, Tuple
+from typing import Optional
 
-__all__ = ["TallyMonitor", "TimeSeriesMonitor"]
+__all__ = ["TallyMonitor"]
 
 
 class TallyMonitor:
@@ -29,6 +24,7 @@ class TallyMonitor:
         self.maximum: Optional[float] = None
 
     def observe(self, value: float) -> None:
+        """Fold one observation into the running statistics."""
         value = float(value)
         self.count += 1
         self.total += value
@@ -47,15 +43,13 @@ class TallyMonitor:
 
     @property
     def mean(self) -> float:
+        """Mean of the observations (0.0 before the first)."""
         return self._mean if self.count else 0.0
 
     @property
     def variance(self) -> float:
+        """Sample variance of the observations (0.0 below two)."""
         return self._m2 / (self.count - 1) if self.count > 1 else 0.0
-
-    @property
-    def stddev(self) -> float:
-        return math.sqrt(self.variance)
 
     def merge(self, other: "TallyMonitor") -> "TallyMonitor":
         """Return a new monitor combining this one with ``other``."""
@@ -91,58 +85,3 @@ class TallyMonitor:
             f"min={self.minimum} max={self.maximum}>"
         )
 
-
-class TimeSeriesMonitor:
-    """A piecewise-constant level over time with time-weighted statistics."""
-
-    def __init__(self, name: str = "", initial: float = 0.0, start_time: float = 0.0):
-        self.name = name
-        self._level = float(initial)
-        self._last_time = float(start_time)
-        self._start_time = float(start_time)
-        self._weighted_sum = 0.0
-        self._weighted_sq_sum = 0.0
-        self.maximum = float(initial)
-        self.minimum = float(initial)
-        self.samples: List[Tuple[float, float]] = [(float(start_time), float(initial))]
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def record(self, time: float, level: float) -> None:
-        """Set the level to ``level`` at simulation time ``time``."""
-        time = float(time)
-        if time < self._last_time:
-            raise ValueError("time must be non-decreasing")
-        dt = time - self._last_time
-        self._weighted_sum += self._level * dt
-        self._weighted_sq_sum += self._level * self._level * dt
-        self._level = float(level)
-        self._last_time = time
-        self.maximum = max(self.maximum, self._level)
-        self.minimum = min(self.minimum, self._level)
-        self.samples.append((time, self._level))
-
-    def increment(self, time: float, delta: float = 1.0) -> None:
-        self.record(time, self._level + delta)
-
-    def decrement(self, time: float, delta: float = 1.0) -> None:
-        self.record(time, self._level - delta)
-
-    def time_average(self, until: Optional[float] = None) -> float:
-        """Time-weighted mean level from the start until ``until`` (or last record)."""
-        end = self._last_time if until is None else float(until)
-        if end < self._last_time:
-            raise ValueError("until must not precede the last recorded time")
-        span = end - self._start_time
-        if span <= 0:
-            return self._level
-        extra = self._level * (end - self._last_time)
-        return (self._weighted_sum + extra) / span
-
-    def __repr__(self) -> str:
-        return (
-            f"<TimeSeriesMonitor {self.name!r} level={self._level:.6g} "
-            f"max={self.maximum:.6g}>"
-        )

@@ -3,7 +3,7 @@
 Three families of resources are provided, mirroring what the cluster and
 runtime models need:
 
-* :class:`Resource` / :class:`PriorityResource` — a counted set of slots that
+* :class:`Resource` — a counted set of slots with a FIFO wait queue that
   processes acquire and release (used for NIC send engines, file-system
   object-storage-target service slots, staging-server request handlers, ...).
 * :class:`Store` / :class:`FilterStore` — a buffer of Python objects with an
@@ -15,8 +15,7 @@ runtime models need:
 
 from __future__ import annotations
 
-from types import TracebackType
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Type
+from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
 from repro.simcore.errors import SimulationError
 from repro.simcore.events import Event, PENDING
@@ -28,7 +27,6 @@ __all__ = [
     "Request",
     "Release",
     "Resource",
-    "PriorityResource",
     "StorePut",
     "StoreGet",
     "Store",
@@ -40,9 +38,9 @@ __all__ = [
 class Request(Event):
     """Event returned by :meth:`Resource.request`; triggers on acquisition."""
 
-    __slots__ = ("resource", "priority", "usage_since")
+    __slots__ = ("resource", "usage_since")
 
-    def __init__(self, resource: "Resource", priority: float = 0.0):
+    def __init__(self, resource: "Resource"):
         # Inlined Event.__init__ (one request per core grant, NIC slot and
         # staging handler — a hot allocation path).
         self.env = resource.env
@@ -51,32 +49,8 @@ class Request(Event):
         self._ok = None
         self._defused = False
         self.resource = resource
-        self.priority = priority
         self.usage_since: Optional[float] = None
         resource._do_request(self)
-
-    def cancel(self) -> None:
-        """Withdraw a not-yet-granted request from the wait queue."""
-        if self.triggered:
-            raise SimulationError("cannot cancel a granted request; release it")
-        try:
-            self.resource._waiters.remove(self)
-        except ValueError:
-            pass
-
-    # Support `with resource.request() as req:` inside process generators for
-    # readability; the release still has to be explicit via resource.release().
-    def __enter__(self) -> "Request":
-        return self
-
-    def __exit__(
-        self,
-        exc_type: Optional[Type[BaseException]],
-        exc: Optional[BaseException],
-        tb: Optional[TracebackType],
-    ) -> None:
-        if self.triggered and self.usage_since is not None:
-            self.resource.release(self)
 
 
 class Release(Event):
@@ -115,6 +89,7 @@ class Resource:
 
     @property
     def capacity(self) -> int:
+        """Number of slots."""
         return self._capacity
 
     @property
@@ -127,9 +102,9 @@ class Resource:
         """Number of requests waiting for a slot."""
         return len(self._waiters)
 
-    def request(self, priority: float = 0.0) -> Request:
+    def request(self) -> Request:
         """Ask for a slot; the returned event triggers when granted."""
-        return Request(self, priority)
+        return Request(self)
 
     def release(self, request: Request) -> Release:
         """Return a previously granted slot to the pool."""
@@ -147,10 +122,7 @@ class Resource:
             request.usage_since = env._now
             env.trigger_inplace(request)
         else:
-            self._insert_waiter(request)
-
-    def _insert_waiter(self, request: Request) -> None:
-        self._waiters.append(request)
+            self._waiters.append(request)
 
     def _grant(self, request: Request) -> None:
         self.users.append(request)
@@ -170,19 +142,6 @@ class Resource:
 
     def _pop_waiter(self) -> Request:
         return self._waiters.pop(0)
-
-
-class PriorityResource(Resource):
-    """A :class:`Resource` whose waiters are served lowest-priority-value first."""
-
-    def _insert_waiter(self, request: Request) -> None:
-        # Stable insert: equal priorities keep FIFO order.
-        idx = len(self._waiters)
-        for i, waiting in enumerate(self._waiters):
-            if request.priority < waiting.priority:
-                idx = i
-                break
-        self._waiters.insert(idx, request)
 
 
 class StorePut(Event):
@@ -216,18 +175,6 @@ class StoreGet(Event):
         self.filter_fn = filter_fn
         store._get(self)
 
-    def cancel(self) -> None:
-        """Withdraw a pending get (used by timeout races in the models)."""
-        if self.triggered:
-            raise SimulationError("cannot cancel a completed get")
-        # The store holds a reference in _get_waiters; mark as cancelled so the
-        # dispatcher skips it.
-        self.filter_fn = _never_match
-
-
-def _never_match(_item: Any) -> bool:
-    return False
-
 
 class Store:
     """A FIFO buffer of arbitrary items with optional bounded capacity."""
@@ -243,6 +190,7 @@ class Store:
 
     @property
     def capacity(self) -> float:
+        """Maximum number of items held (``inf`` when unbounded)."""
         return self._capacity
 
     def __len__(self) -> int:
@@ -253,6 +201,7 @@ class Store:
         return StorePut(self, item)
 
     def get(self) -> StoreGet:
+        """Remove and return the oldest item (waits if the store is empty)."""
         """Remove and return the oldest item (waits if the store is empty)."""
         return StoreGet(self)
 
@@ -339,10 +288,13 @@ class FilterStore(Store):
     """A :class:`Store` whose getters may select items with a predicate."""
 
     def get(self, filter_fn: Optional[Callable[[Any], bool]] = None) -> StoreGet:
+        """Remove and return the oldest item ``filter_fn`` accepts (any item if ``None``)."""
         return StoreGet(self, filter_fn)
 
 
 class ContainerPut(Event):
+    """Event returned by :meth:`Container.put`; triggers once the amount is deposited."""
+
     __slots__ = ("amount",)
 
     def __init__(self, container: "Container", amount: float):
@@ -355,6 +307,8 @@ class ContainerPut(Event):
 
 
 class ContainerGet(Event):
+    """Event returned by :meth:`Container.get`; its value is the withdrawn amount."""
+
     __slots__ = ("amount",)
 
     def __init__(self, container: "Container", amount: float):
@@ -382,6 +336,7 @@ class Container:
 
     @property
     def capacity(self) -> float:
+        """Maximum quantity held."""
         return self._capacity
 
     @property

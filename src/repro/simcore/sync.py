@@ -1,14 +1,15 @@
 """Synchronisation primitives built on the event kernel.
 
 These model the synchronisation mechanisms the paper's Section 3 identifies as
-performance bottlenecks in the baseline transports (reader/writer locks in
-DataSpaces/DIMES, global barriers in Decaf and Flexpath) and the condition
-variables Zipper's own work-stealing writer thread uses (Algorithm 1).
+performance bottlenecks in the baseline transports (global barriers in Decaf
+and Flexpath) and the condition variables Zipper's own work-stealing writer
+thread uses (Algorithm 1).  The DataSpaces/DIMES lock services are modelled
+as request/response servers in :mod:`repro.transports.staging`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List, Optional
+from typing import TYPE_CHECKING, Any, List
 
 from repro.simcore.errors import SimulationError
 from repro.simcore.events import Event
@@ -16,85 +17,7 @@ from repro.simcore.events import Event
 if TYPE_CHECKING:
     from repro.simcore.engine import Environment
 
-__all__ = ["Mutex", "Semaphore", "SimBarrier", "ConditionVar", "OneShotSignal"]
-
-
-class Mutex:
-    """A non-reentrant mutual-exclusion lock with FIFO waiters.
-
-    ``acquire()`` returns an event that triggers when the lock is granted; the
-    owner must call ``release()`` exactly once.  Ownership is tracked by an
-    opaque token (the acquire event) so misuse is detected.
-    """
-
-    def __init__(self, env: "Environment"):
-        self.env = env
-        self._owner: Optional[Event] = None
-        self._waiters: List[Event] = []
-        self.acquisitions = 0
-        self.contended_acquisitions = 0
-
-    @property
-    def locked(self) -> bool:
-        return self._owner is not None
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
-    def acquire(self) -> Event:
-        ev = Event(self.env)
-        if self._owner is None:
-            self._owner = ev
-            self.acquisitions += 1
-            ev.succeed(ev)
-        else:
-            self.contended_acquisitions += 1
-            self._waiters.append(ev)
-        return ev
-
-    def release(self, token: Optional[Event] = None) -> None:
-        if self._owner is None:
-            raise SimulationError("release of an unlocked Mutex")
-        if token is not None and token is not self._owner:
-            raise SimulationError("release by a non-owner")
-        if self._waiters:
-            nxt = self._waiters.pop(0)
-            self._owner = nxt
-            self.acquisitions += 1
-            nxt.succeed(nxt)
-        else:
-            self._owner = None
-
-
-class Semaphore:
-    """A counting semaphore with FIFO waiters."""
-
-    def __init__(self, env: "Environment", value: int = 1):
-        if value < 0:
-            raise SimulationError("initial value must be non-negative")
-        self.env = env
-        self._value = value
-        self._waiters: List[Event] = []
-
-    @property
-    def value(self) -> int:
-        return self._value
-
-    def acquire(self) -> Event:
-        ev = Event(self.env)
-        if self._value > 0:
-            self._value -= 1
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def release(self) -> None:
-        if self._waiters:
-            self._waiters.pop(0).succeed()
-        else:
-            self._value += 1
+__all__ = ["SimBarrier", "ConditionVar", "OneShotSignal"]
 
 
 class SimBarrier:
@@ -116,9 +39,11 @@ class SimBarrier:
 
     @property
     def waiting(self) -> int:
+        """Number of parties arrived in the current generation."""
         return len(self._arrived)
 
     def wait(self) -> Event:
+        """Arrive; the event triggers with the generation number once all parties have."""
         ev = Event(self.env)
         self._arrived.append(ev)
         if len(self._arrived) >= self.parties:
@@ -144,9 +69,11 @@ class ConditionVar:
 
     @property
     def waiting(self) -> int:
+        """Number of processes waiting for a notify."""
         return len(self._waiters)
 
     def wait(self) -> Event:
+        """Wait for the next notify; the event's value is the notify's ``value``."""
         ev = Event(self.env)
         self._waiters.append(ev)
         return ev
@@ -161,6 +88,7 @@ class ConditionVar:
         return woken
 
     def notify_all(self, value: Any = None) -> int:
+        """Wake every current waiter; returns the number woken."""
         return self.notify(len(self._waiters), value)
 
 
@@ -179,9 +107,11 @@ class OneShotSignal:
 
     @property
     def is_set(self) -> bool:
+        """Whether :meth:`set` has been called."""
         return self._set
 
     def set(self, value: Any = None) -> None:
+        """Set the latch and release every waiter with ``value`` (idempotent)."""
         if self._set:
             return
         self._set = True
@@ -191,6 +121,7 @@ class OneShotSignal:
             ev.succeed(value)
 
     def wait(self) -> Event:
+        """Wait for the latch; triggers at once, with the latch's value, if already set."""
         ev = Event(self.env)
         if self._set:
             ev.succeed(self._value)

@@ -53,17 +53,6 @@ class MPIFile:
                 self._steps_completed, (step + 1) if step is not None else self._steps_completed + 1
             )
 
-    def read_all(self, rank: int, nbytes: int) -> Generator:
-        """Collective read of ``nbytes`` into ``rank`` from the shared file."""
-        if self.collective_sync:
-            yield from self.comm.barrier(rank)
-        start = self.comm.env.now
-        yield from self.fs.read(self.comm.node_of(rank), nbytes, filename=self.filename)
-        if self.comm.tracer is not None:
-            self.comm.tracer.record(rank, "io_read", start, self.comm.env.now, nbytes=nbytes)
-        if self.collective_sync:
-            yield from self.comm.barrier(rank)
-
     def wait_for_step(self, rank: int, step: int, poll_interval: float = 0.05) -> Generator:
         """Poll until the writer has completed ``step`` (0-based) writes.
 

@@ -7,7 +7,7 @@ import pytest
 from repro.cluster import Cluster, CounterRegistry, Network, PortCounters
 from repro.cluster.presets import bridges, laptop
 from repro.cluster.spec import NetworkSpec
-from repro.simcore import Environment, Interrupt, RandomStreams, Timeout
+from repro.simcore import Environment, RandomStreams
 
 
 def make_network(num_nodes=4, total_nodes=None, **spec_kwargs):
@@ -212,46 +212,28 @@ class TestTransferRobustness:
 
     def test_interrupted_transfer_restores_port_load(self):
         env, net = make_network()
-        nbytes = 100 * 1024 * 1024  # ~8 ms on the fabric: plenty to interrupt
-
-        def victim():
-            try:
-                yield from net.transfer(0, 1, nbytes)
-            except Interrupt:
-                pass
-
-        proc = env.process(victim())
-
-        def killer():
-            yield Timeout(env, 1e-4)
-            proc.interrupt("link failure")
-
-        env.process(killer())
-        env.run()
-        # The cleanup after the yield must run even on interrupt, otherwise
-        # the port keeps phantom congestion load forever.
+        # Park the transfer at its service wait, with the port loads raised.
+        transfer = net.transfer(0, 1, 100 * 1024 * 1024)
+        next(transfer)
+        assert net.port_load(0) > 0.0
+        # Abandoning the generator there (closing it, as when its process is
+        # torn down) must still run the cleanup, otherwise the port keeps
+        # phantom congestion load forever.
+        transfer.close()
         assert net.port_load(0) == pytest.approx(0.0)
         assert net.port_load(1) == pytest.approx(0.0)
 
     def test_failed_transfer_process_restores_port_load(self):
         env, net = make_network()
-
-        def doomed():
-            try:
-                yield from net.transfer(0, 1, 100 * 1024 * 1024)
-            except Interrupt:
-                raise RuntimeError("rank died mid-transfer")
-
-        proc = env.process(doomed())
-
-        def killer():
-            yield Timeout(env, 1e-4)
-            proc.interrupt("nic reset")
-
-        env.process(killer())
+        transfer = net.transfer(0, 1, 100 * 1024 * 1024)
+        next(transfer)
+        assert net.port_load(0) > 0.0
+        # An exception thrown in at the wait propagates out of the transfer,
+        # and the port loads are restored on the way out.
         with pytest.raises(RuntimeError, match="rank died"):
-            env.run()
+            transfer.throw(RuntimeError("rank died mid-transfer"))
         assert net.port_load(0) == pytest.approx(0.0)
+        assert net.port_load(1) == pytest.approx(0.0)
 
     def test_jittered_transfer_keeps_port_bookkeeping_consistent(self):
         env = Environment()

@@ -40,6 +40,7 @@ DOCSTRINGED_PACKAGES = (
     "perfmodel",
     "lint",
     "tenants",
+    "simcore",
 )
 
 #: Top-level modules (not packages) held to the same docstring standard.

@@ -148,8 +148,8 @@ class TestCounterDeltas:
         deltas = CounterDeltas()
         assert deltas.advance("g", {"a": 2.0}) == {"a": 2.0}
         assert deltas.advance("g", {"a": 5.0, "b": 1.0}) == {"a": 3.0, "b": 1.0}
-        assert deltas.peek("g") == {"a": 5.0, "b": 1.0}
-        assert deltas.peek("other") == {}
+        # Groups snapshot independently: a fresh group starts from zero.
+        assert deltas.advance("other", {"a": 5.0}) == {"a": 5.0}
 
 
 # -- cluster-side mechanism ---------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 
 from repro.bench.experiments import (
     elastic_burst_pipeline,
-    figure2_configs,
+    figure2_spec,
     model_driven_default_policy,
     pipeline_chain,
     pipeline_fanout,
@@ -240,7 +240,7 @@ class TestComputeFastPath:
 class TestCoalescingBitIdentity:
     @pytest.mark.parametrize(
         "label,config",
-        figure2_configs(steps=4, representative_sim_ranks=4),
+        figure2_spec(steps=4, representative_sim_ranks=4).configs(),
         ids=lambda val: val if isinstance(val, str) else "",
     )
     def test_all_transports(self, label, config):
@@ -250,7 +250,7 @@ class TestCoalescingBitIdentity:
 
     @pytest.mark.parametrize(
         "label,config",
-        figure2_configs(steps=4, representative_sim_ranks=4),
+        figure2_spec(steps=4, representative_sim_ranks=4).configs(),
         ids=lambda val: val if isinstance(val, str) else "",
     )
     def test_empty_fault_plan_is_inert(self, label, config):
@@ -291,7 +291,7 @@ class TestEventPoolingBitIdentity:
 
     @pytest.mark.parametrize(
         "label,config",
-        figure2_configs(steps=4, representative_sim_ranks=4),
+        figure2_spec(steps=4, representative_sim_ranks=4).configs(),
         ids=lambda val: val if isinstance(val, str) else "",
     )
     def test_pool_events_field_has_no_effect(self, label, config):

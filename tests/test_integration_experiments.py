@@ -12,9 +12,9 @@ import pytest
 from repro.apps.costs import MiB, cfd_workload, lammps_workload, synthetic_workload
 from repro.bench.experiments import (
     FIGURE2_TRANSPORTS,
-    figure2_configs,
-    figure12_configs,
-    figure14_configs,
+    figure2_spec,
+    figure12_spec,
+    figure14_spec,
     trace_config,
 )
 from repro.cluster.presets import stampede2
@@ -24,18 +24,18 @@ from repro.workflow import WorkflowConfig, run_workflow
 
 class TestBenchDescriptors:
     def test_figure2_covers_all_seven_methods(self):
-        labels = [t for t, _ in figure2_configs(steps=3)]
+        labels = [t for t, _ in figure2_spec(steps=3).configs()]
         for method in FIGURE2_TRANSPORTS:
             assert method in labels
         assert "zipper" in labels and "none" in labels
 
     def test_figure12_covers_both_block_sizes_and_all_complexities(self):
-        labels = [label for label, _ in figure12_configs(data_per_rank=16 * MiB)]
+        labels = [label for label, _ in figure12_spec(data_per_rank=16 * MiB).configs()]
         assert len(labels) == 6
         assert any("8MB" in lbl for lbl in labels) and any("O(n^1.5)" in lbl for lbl in labels)
 
     def test_figure14_pairs_mpi_only_with_concurrent(self):
-        labels = [label for label, _ in figure14_configs(data_per_rank=16 * MiB, core_counts=(84,))]
+        labels = [label for label, _ in figure14_spec(data_per_rank=16 * MiB, core_counts=(84,)).configs()]
         assert sum("mpi-only" in lbl for lbl in labels) == 3
         assert sum("concurrent" in lbl for lbl in labels) == 3
 
@@ -49,7 +49,7 @@ class TestFigure2Shape:
 
     @pytest.fixture(scope="class")
     def results(self):
-        return {t: run_workflow(cfg) for t, cfg in figure2_configs(steps=4, representative_sim_ranks=4)}
+        return {t: run_workflow(cfg) for t, cfg in figure2_spec(steps=4, representative_sim_ranks=4).configs()}
 
     def test_every_method_completes(self, results):
         assert all(not r.failed for r in results.values())

@@ -7,7 +7,8 @@ and every invariant test runs over the same seed set.  The invariants are
 the contracts everything else in the repo leans on:
 
 * **bit-identity** — the coalescing fast path and the per-event slow path
-  persist byte-equal payloads, ``events_processed`` included;
+  persist byte-equal payloads, ``events_processed`` included, and so do a
+  sanitized and a plain run (the sanitizer wraps the one step body);
 * **conservation** — replaying the rebalance timeline from the baseline
   holdings reproduces the controller's final allocations and bandwidth
   shares *exactly* (cores and share units are never created or destroyed);
@@ -38,6 +39,7 @@ from functools import lru_cache
 
 import pytest
 
+from repro import sanitize
 from repro.bench.experiments import (
     elastic_burst_pipeline,
     elastic_default_policy,
@@ -113,6 +115,16 @@ def test_fast_and_slow_paths_persist_equal_payloads(seed):
     fast = result_payload(run_pipeline(pipeline.replace(coalesce=True)))
     slow = result_payload(run_pipeline(pipeline.replace(coalesce=False)))
     assert fast == slow
+    # Sanitized vs plain step: the same body, wrapped or bare.  Under
+    # REPRO_SANITIZE=1 both sides are sanitized and this checks replay.
+    guarded = sanitize.guards_installed()
+    try:
+        sanitized = result_payload(run_pipeline(pipeline.replace(sanitize=True)))
+    finally:
+        if not guarded:
+            sanitize.uninstall_guards()
+    assert sanitized == fast
+    assert sanitized["stats"]["events_processed"] == fast["stats"]["events_processed"]
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -6,13 +6,10 @@ import pytest
 
 from repro.simcore import (
     AllOf,
-    AnyOf,
     Environment,
     Event,
-    Interrupt,
     Process,
     SimulationError,
-    StopProcess,
     Timeout,
 )
 
@@ -47,7 +44,6 @@ class TestEvent:
     def test_fail_sets_exception_value(self, env):
         exc = ValueError("boom")
         ev = Event(env).fail(exc)
-        ev.defuse()
         assert ev.triggered and not ev.ok and ev.value is exc
 
     def test_callbacks_run_on_processing(self, env):
@@ -143,16 +139,6 @@ class TestProcess:
         w = env.process(waiter(env))
         assert env.run(w) == "caught inner"
 
-    def test_stop_process_terminates_early(self, env):
-        def proc(env):
-            yield Timeout(env, 1)
-            raise StopProcess("early")
-            yield Timeout(env, 100)  # pragma: no cover
-
-        p = env.process(proc(env))
-        assert env.run(p) == "early"
-        assert env.now == pytest.approx(1.0)
-
     def test_is_alive(self, env):
         def proc(env):
             yield Timeout(env, 5)
@@ -177,47 +163,6 @@ class TestProcess:
         assert env.now == pytest.approx(3.0)
 
 
-class TestInterrupt:
-    def test_interrupt_delivers_cause(self, env):
-        causes = []
-
-        def victim(env):
-            try:
-                yield Timeout(env, 100)
-            except Interrupt as i:
-                causes.append(i.cause)
-                return "interrupted"
-
-        def attacker(env, victim_proc):
-            yield Timeout(env, 1)
-            victim_proc.interrupt(cause="stop now")
-
-        v = env.process(victim(env))
-        env.process(attacker(env, v))
-        assert env.run(v) == "interrupted"
-        assert causes == ["stop now"]
-        assert env.now == pytest.approx(1.0)
-
-    def test_cannot_interrupt_self(self, env):
-        def proc(env):
-            p = env.active_process
-            p.interrupt()
-            yield Timeout(env, 1)
-
-        p = env.process(proc(env))
-        with pytest.raises(SimulationError):
-            env.run(p)
-
-    def test_interrupting_finished_process_raises(self, env):
-        def proc(env):
-            yield Timeout(env, 1)
-
-        p = env.process(proc(env))
-        env.run()
-        with pytest.raises(SimulationError):
-            p.interrupt()
-
-
 class TestConditions:
     def test_allof_waits_for_everything(self, env):
         def proc(env):
@@ -229,17 +174,6 @@ class TestConditions:
         p = env.process(proc(env))
         assert env.run(p) == ["a", "b"]
         assert env.now == pytest.approx(3.0)
-
-    def test_anyof_returns_on_first(self, env):
-        def proc(env):
-            t1 = Timeout(env, 1, value="fast")
-            t2 = Timeout(env, 10, value="slow")
-            result = yield AnyOf(env, [t1, t2])
-            return list(result.values())
-
-        p = env.process(proc(env))
-        assert env.run(p) == ["fast"]
-        assert env.now == pytest.approx(1.0)
 
     def test_allof_empty_list_triggers_immediately(self, env):
         cond = AllOf(env, [])

@@ -7,7 +7,6 @@ import pytest
 from repro.simcore import (
     Container,
     FilterStore,
-    PriorityResource,
     Resource,
     SimulationError,
     Store,
@@ -58,36 +57,6 @@ class TestResource:
         env.run()
         with pytest.raises(SimulationError):
             res.release(req)
-
-    def test_cancel_waiting_request(self, env):
-        res = Resource(env, capacity=1)
-        first = res.request()
-        second = res.request()
-        assert res.queue_length == 1
-        second.cancel()
-        assert res.queue_length == 0
-        assert first.triggered
-
-
-class TestPriorityResource:
-    def test_lower_priority_value_served_first(self, env):
-        res = PriorityResource(env, capacity=1)
-        order = []
-
-        def user(env, res, uid, priority, start_delay):
-            yield Timeout(env, start_delay)
-            req = res.request(priority=priority)
-            yield req
-            order.append(uid)
-            yield Timeout(env, 5)
-            res.release(req)
-
-        env.process(user(env, res, "low", 5.0, 0.0))
-        env.process(user(env, res, "urgent", 0.0, 1.0))
-        env.process(user(env, res, "normal", 2.0, 1.0))
-        env.run()
-        assert order == ["low", "urgent", "normal"]
-
 
 class TestStore:
     def test_fifo_order(self, env):

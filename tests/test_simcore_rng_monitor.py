@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simcore import RandomStreams, TallyMonitor, TimeSeriesMonitor
+from repro.simcore import RandomStreams, TallyMonitor
 
 
 class TestRandomStreams:
@@ -90,31 +90,3 @@ class TestTallyMonitor:
         combined = left + right
         assert merged.count == len(combined)
         assert merged.mean == pytest.approx(float(np.mean(combined)), rel=1e-6, abs=1e-3)
-
-
-class TestTimeSeriesMonitor:
-    def test_time_average(self):
-        m = TimeSeriesMonitor("queue", initial=0.0)
-        m.record(1.0, 2.0)   # level 0 for [0,1)
-        m.record(3.0, 4.0)   # level 2 for [1,3)
-        # average over [0,3] = (0*1 + 2*2) / 3
-        assert m.time_average(3.0) == pytest.approx(4.0 / 3.0)
-        assert m.maximum == 4.0 and m.minimum == 0.0
-
-    def test_non_monotonic_time_rejected(self):
-        m = TimeSeriesMonitor()
-        m.record(2.0, 1.0)
-        with pytest.raises(ValueError):
-            m.record(1.0, 5.0)
-
-    def test_increment_decrement(self):
-        m = TimeSeriesMonitor(initial=1.0)
-        m.increment(1.0)
-        m.decrement(2.0, 0.5)
-        assert m.level == pytest.approx(1.5)
-
-    def test_time_average_before_last_record_rejected(self):
-        m = TimeSeriesMonitor()
-        m.record(5.0, 1.0)
-        with pytest.raises(ValueError):
-            m.time_average(4.0)

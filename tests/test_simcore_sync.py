@@ -6,73 +6,11 @@ import pytest
 
 from repro.simcore import (
     ConditionVar,
-    Mutex,
     OneShotSignal,
-    Semaphore,
     SimBarrier,
     SimulationError,
     Timeout,
 )
-
-
-class TestMutex:
-    def test_mutual_exclusion(self, env):
-        m = Mutex(env)
-        trace = []
-
-        def worker(env, m, name, hold):
-            token = yield m.acquire()
-            trace.append((name, "in", env.now))
-            yield Timeout(env, hold)
-            trace.append((name, "out", env.now))
-            m.release(token)
-
-        env.process(worker(env, m, "a", 2))
-        env.process(worker(env, m, "b", 1))
-        env.run()
-        assert trace == [("a", "in", 0.0), ("a", "out", 2.0), ("b", "in", 2.0), ("b", "out", 3.0)]
-        assert m.acquisitions == 2
-        assert m.contended_acquisitions == 1
-
-    def test_release_unlocked_raises(self, env):
-        with pytest.raises(SimulationError):
-            Mutex(env).release()
-
-    def test_release_by_non_owner_raises(self, env):
-        m = Mutex(env)
-        token = None
-
-        def owner(env, m):
-            nonlocal token
-            token = yield m.acquire()
-
-        env.process(owner(env, m))
-        env.run()
-        with pytest.raises(SimulationError):
-            m.release(object())  # type: ignore[arg-type]
-        m.release(token)
-        assert not m.locked
-
-
-class TestSemaphore:
-    def test_counting(self, env):
-        sem = Semaphore(env, value=2)
-        entered = []
-
-        def worker(env, sem, name):
-            yield sem.acquire()
-            entered.append((name, env.now))
-            yield Timeout(env, 1)
-            sem.release()
-
-        for name in "abc":
-            env.process(worker(env, sem, name))
-        env.run()
-        assert [t for _, t in entered] == [0.0, 0.0, 1.0]
-
-    def test_negative_initial_value_rejected(self, env):
-        with pytest.raises(SimulationError):
-            Semaphore(env, value=-1)
 
 
 class TestSimBarrier:

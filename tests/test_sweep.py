@@ -11,13 +11,11 @@ from repro.apps.costs import MiB, cfd_workload
 from repro.bench.experiments import (
     FIGURE2_TRANSPORTS,
     SCALABILITY_CORE_COUNTS,
-    figure2_configs,
-    figure12_configs,
-    figure13_configs,
-    figure14_configs,
-    figure16_configs,
+    figure2_spec,
+    figure12_spec,
+    figure13_spec,
+    figure14_spec,
     figure16_spec,
-    run_all,
 )
 from repro.cluster.presets import laptop, stampede2
 from repro.sweep import (
@@ -127,7 +125,7 @@ class TestLegacyGridParity:
     """The declarative grids must reproduce the hand-rolled loops label-for-label."""
 
     def test_figure2_labels(self):
-        labels = [lbl for lbl, _ in figure2_configs(steps=3)]
+        labels = [lbl for lbl, _ in figure2_spec(steps=3).configs()]
         assert labels == list(FIGURE2_TRANSPORTS) + ["zipper", "none"]
 
     def test_figure12_labels_and_fields(self):
@@ -139,17 +137,17 @@ class TestLegacyGridParity:
             "O(nlogn)/8MB",
             "O(n^1.5)/8MB",
         ]
-        configs = figure12_configs(data_per_rank=16 * MiB)
+        configs = figure12_spec(data_per_rank=16 * MiB).configs()
         assert [lbl for lbl, _ in configs] == expected
         assert all(not cfg.preserve for _, cfg in configs)
         assert [cfg.block_bytes for _, cfg in configs[:3]] == [1 * MiB] * 3
         assert [cfg.block_bytes for _, cfg in configs[3:]] == [8 * MiB] * 3
 
     def test_figure13_is_preserve_mode(self):
-        assert all(cfg.preserve for _, cfg in figure13_configs(data_per_rank=16 * MiB))
+        assert all(cfg.preserve for _, cfg in figure13_spec(data_per_rank=16 * MiB).configs())
 
     def test_figure14_labels_pair_modes(self):
-        configs = figure14_configs(data_per_rank=16 * MiB, core_counts=(84, 168))
+        configs = figure14_spec(data_per_rank=16 * MiB, core_counts=(84, 168)).configs()
         expected = [
             f"{complexity}/{cores}/{mode}"
             for complexity in ("O(n)", "O(nlogn)", "O(n^1.5)")
@@ -167,7 +165,7 @@ class TestLegacyGridParity:
             for cores in SCALABILITY_CORE_COUNTS
             for transport in ("mpiio", "flexpath", "decaf", "zipper", "none")
         ]
-        assert [lbl for lbl, _ in figure16_configs(steps=3)] == expected
+        assert [lbl for lbl, _ in figure16_spec(steps=3).configs()] == expected
 
 
 class TestConfigHash:
@@ -214,13 +212,6 @@ class TestSweepRunner:
         # The modelled Decaf overflow surfaces as a failed record, not a crash.
         assert serial["cfd/13056/decaf"].failed
         assert not serial["cfd/204/decaf"].failed
-
-    def test_matches_legacy_run_all(self):
-        spec = _downsized_figure16()
-        _assert_same_results(
-            SweepRunner(workers=0, trace=False).run_labelled(spec),
-            {lbl: r for lbl, r in run_all(spec.configs()).items()},
-        )
 
     def test_crash_is_isolated_to_its_record(self):
         # The unknown transport makes the workflow runner raise outright —
